@@ -51,7 +51,7 @@
 //! Wall-clock numbers in the output are environment-dependent by nature;
 //! everything else in `BENCH_pr10.json` is deterministic.
 
-use hyades::tour::{self, TourConfig};
+use hyades::tour::{Straggler, TourConfig};
 use hyades_arctic::observatory::ObservatoryConfig;
 use hyades_arctic::packet::UpRoute;
 use hyades_arctic::workload::{run_traffic_observed, Pattern};
@@ -140,7 +140,7 @@ fn main() {
 
     // 1. Telemetry tour: model-vs-measured phase residuals (E14).
     let wall_tour = Instant::now();
-    let t = tour::run(SEED);
+    let t = TourConfig::new(SEED).run_tour();
     let tour_ms = wall_tour.elapsed().as_secs_f64() * 1e3;
     if t.max_abs_residual >= 2.0 {
         failures.push(format!(
@@ -267,15 +267,33 @@ fn main() {
         ));
     }
 
-    // 6. Run-health observatory: the coupled pair through the monitored
-    //    stepper, twice — the health record itself must be byte-identical
-    //    and the sentinel must stay quiet on the healthy run.
+    // 6. Coupled tour: one run feeds both the run-health observatory and
+    //    the critical-path profiler. The balanced run must keep the
+    //    sentinel quiet and its path on the phase model; the straggler
+    //    run (rank 2 + 1 s of PS compute per step) must get the exact
+    //    blame; both must replay byte-identically across a double run.
+    let straggler = Straggler {
+        rank: 2,
+        extra_flops: 50_000_000,
+    };
     let wall_diag = Instant::now();
-    let diag = tour::run_coupled_diag(SEED);
+    let base = TourConfig::new(SEED).run_coupled();
     let diag_ms = wall_diag.elapsed().as_secs_f64() * 1e3;
-    let diag2 = tour::run_coupled_diag(SEED);
-    let diag_identical =
-        diag.text == diag2.text && diag.json == diag2.json && diag.prom == diag2.prom;
+    let wall_crit = Instant::now();
+    let crit_perturbed = TourConfig::new(SEED)
+        .straggler(straggler)
+        .run_coupled()
+        .critpath;
+    let crit_ms = wall_crit.elapsed().as_secs_f64() * 1e3;
+    let base2 = TourConfig::new(SEED).run_coupled();
+    let crit_perturbed2 = TourConfig::new(SEED)
+        .straggler(straggler)
+        .run_coupled()
+        .critpath;
+    let (diag, crit_base) = (&base.diag, &base.critpath);
+    let diag_identical = diag.text == base2.diag.text
+        && diag.json == base2.diag.json
+        && diag.prom == base2.diag.prom;
     if !diag_identical {
         failures.push("diagnostics exports differ across same-seed double run".into());
     }
@@ -285,22 +303,8 @@ fn main() {
             diag.sentinel_trips
         ));
     }
-
-    // 7. Critical-path profiler: balanced run checked against the phase
-    //    model, straggler run (rank 2 + 1 s of PS compute per step)
-    //    checked for exact blame, both for byte-identical replay.
-    let straggler = tour::Straggler {
-        rank: 2,
-        extra_flops: 50_000_000,
-    };
-    let wall_crit = Instant::now();
-    let crit_base = tour::run_critpath(SEED, None);
-    let crit_perturbed = tour::run_critpath(SEED, Some(straggler));
-    let crit_ms = wall_crit.elapsed().as_secs_f64() * 1e3;
-    let crit_base2 = tour::run_critpath(SEED, None);
-    let crit_perturbed2 = tour::run_critpath(SEED, Some(straggler));
-    let critpath_identical = crit_base.report == crit_base2.report
-        && crit_base.json == crit_base2.json
+    let critpath_identical = crit_base.report == base2.critpath.report
+        && crit_base.json == base2.critpath.json
         && crit_perturbed.report == crit_perturbed2.report
         && crit_perturbed.json == crit_perturbed2.json;
     if !critpath_identical {
@@ -321,7 +325,7 @@ fn main() {
         ));
     }
 
-    // 8. Fault-recovery tour: a seeded rank crash plus a lossy link
+    // 7. Fault-recovery tour: a seeded rank crash plus a lossy link
     //    window, end to end. The run must roll back, replay to a state
     //    bit-identical to the uninterrupted reference, and retransmit
     //    its way to an exact global sum.

@@ -1,25 +1,32 @@
-//! The telemetry tour: one instrumented run through every tier.
+//! The tours: instrumented runs through every tier of the system.
 //!
-//! Exercises the whole flight-recorder stack in a single deterministic
-//! harness:
+//! One [`TourConfig`] (a seed, an optional [`Straggler`], a
+//! [`FaultPlan`]) drives three runs:
 //!
-//! 1. a 2×2-rank functional GCM run under a [`TimedWorld`] with per-rank
-//!    telemetry recorders — PS/DS phase attribution, charged comm and
-//!    compute spans, and the metric registry;
-//! 2. a DES microbenchmark pass (exchange + global sum on the simulated
-//!    Arctic fabric) with the event-timeline spans from the router, NIU,
-//!    and comms actors, plus the flight recorder ring;
-//! 3. a model-vs-measured phase report lining the run's charged PS/DS
-//!    seconds up against eqs. (4)–(13) of the paper.
+//! 1. [`TourConfig::run_tour`], the profiling tour (E14): a 2×2-rank
+//!    functional GCM run under a [`TimedWorld`] with per-rank telemetry
+//!    recorders (PS/DS phase attribution, charged comm and compute spans,
+//!    the metric registry), a DES microbenchmark pass (exchange + global
+//!    sum on the simulated Arctic fabric, with the router/NIU/comms event
+//!    timeline and the flight recorder ring), and a model-vs-measured
+//!    phase report against eqs. (4)–(13) of the paper;
+//! 2. [`TourConfig::run_coupled`], the coupled atmosphere–ocean run with
+//!    the run-health monitors and the sentinel armed, its comm log
+//!    stamped and rebuilt into the global event DAG: one run yields both
+//!    the diagnostics (E18) and the critical-path profile (E19);
+//! 3. [`TourConfig::run_resilient`], the fault-recovery tour (E21): the
+//!    coupled run under the fault plan, checked bit-for-bit against the
+//!    uninterrupted coupled run.
 //!
-//! Everything is a pure function of `seed`: two runs with the same seed
-//! produce byte-identical artifacts (the determinism test pins this), and
-//! different seeds perturb both the physics and the microbench shapes.
+//! Everything is a pure function of the config: two runs with the same
+//! seed produce byte-identical artifacts (the determinism tests pin
+//! this), and different seeds perturb both the physics and the
+//! microbench shapes.
 
 use hyades_cluster::interconnect::{arctic_paper, ExchangeShape, Interconnect};
 use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty};
 use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
-use hyades_comms::{RecoveryCounters, ThreadWorld, TimedWorld};
+use hyades_comms::{CommWorld, RecoveryCounters, ThreadWorld, TimedWorld};
 use hyades_des::rng::SplitMix64;
 use hyades_fault::FaultPlan;
 use hyades_gcm::config::{ModelConfig, SurfaceForcing};
@@ -35,6 +42,7 @@ use hyades_perf::phases::{self, MeasuredPhases, StepSample};
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::artifact::{Artifact, ArtifactKind, Prebuilt};
+use hyades_telemetry::commlog::Stamped;
 use hyades_telemetry::{flight, RankTelemetry, RunTelemetry};
 use std::fmt::Write as _;
 
@@ -45,66 +53,48 @@ const NZ: usize = 4;
 const PX: usize = 2;
 const PY: usize = 2;
 const NRANKS: usize = PX * PY;
+/// GCM steps of the single-model profiling tour.
 const STEPS: usize = 4;
+/// Coupled steps of the coupled and resilient tours.
+const CSTEPS: usize = 4;
+/// Checkpoint cadence of the resilient tour, in coupled steps (a
+/// multiple of the coupling interval, 2).
+const CHECKPOINT_EVERY: u64 = 2;
 
 /// Sustained kernel rates used both to charge compute time and as the
 /// model's `Fps`/`Fds` (Figure 11's values).
 const FPS_MFLOPS: f64 = 50.0;
 const FDS_MFLOPS: f64 = 60.0;
 
-/// One configuration for every tour entry point.
-///
-/// The four tours (profiling E14, run-health E18, critical-path E19,
-/// fault-recovery E21) used to each grow their own argument list; this
-/// builder is the single shared surface. `seed` is the only required
-/// input — everything else has the historical defaults, so
-/// `TourConfig::new(seed).run_tour()` is byte-identical to the old
-/// `run(seed)` (which survives as a shim over exactly that call).
+/// The one configuration of every tour. `TourConfig::new(seed)` is the
+/// fault-free, straggler-free run.
 #[derive(Clone, Debug)]
 pub struct TourConfig {
     /// Seeds the physics perturbation and the microbench shapes.
     pub seed: u64,
-    /// GCM steps of the single-model profiling tour.
-    pub steps: usize,
-    /// Coupled steps of the diag/critpath/resilient tours.
-    pub coupled_steps: usize,
-    /// Injected compute straggler (critical-path tour only).
+    /// Injected compute straggler of the coupled run.
     pub straggler: Option<Straggler>,
     /// Fault schedule: drives the resilient tour's crash/rollback and
     /// the DES recovery legs' link faults. Empty means fault-free.
     pub fault_plan: FaultPlan,
-    /// Checkpoint cadence of the resilient tour, in coupled steps (must
-    /// be a multiple of the coupling interval, 2).
-    pub checkpoint_every: u64,
-    /// Record per-op comm logs (feeds Chrome flow events and the
-    /// critical-path DAG). Off saves memory but drops the arrows.
-    pub commlog: bool,
-    /// Install the DES flight recorder during microbench legs.
-    pub flight: bool,
+}
+
+/// A deliberate per-rank compute perturbation: before each timestep's
+/// communication, `rank` is charged `extra_flops` of PS compute, slowing
+/// its entry into every exchange and reduction of that step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Straggler {
+    pub rank: usize,
+    pub extra_flops: u64,
 }
 
 impl TourConfig {
     pub fn new(seed: u64) -> TourConfig {
         TourConfig {
             seed,
-            steps: STEPS,
-            coupled_steps: CSTEPS,
             straggler: None,
             fault_plan: FaultPlan::default(),
-            checkpoint_every: 2,
-            commlog: true,
-            flight: true,
         }
-    }
-
-    pub fn steps(mut self, steps: usize) -> TourConfig {
-        self.steps = steps;
-        self
-    }
-
-    pub fn coupled_steps(mut self, steps: usize) -> TourConfig {
-        self.coupled_steps = steps;
-        self
     }
 
     pub fn straggler(mut self, s: Straggler) -> TourConfig {
@@ -114,21 +104,6 @@ impl TourConfig {
 
     pub fn fault_plan(mut self, plan: FaultPlan) -> TourConfig {
         self.fault_plan = plan;
-        self
-    }
-
-    pub fn checkpoint_every(mut self, every: u64) -> TourConfig {
-        self.checkpoint_every = every;
-        self
-    }
-
-    pub fn commlog(mut self, on: bool) -> TourConfig {
-        self.commlog = on;
-        self
-    }
-
-    pub fn flight(mut self, on: bool) -> TourConfig {
-        self.flight = on;
         self
     }
 
@@ -144,7 +119,96 @@ impl TourConfig {
     }
 }
 
-/// Everything the tour produces.
+// --- shared layers ------------------------------------------------------
+
+/// Run `body` on this rank with its telemetry recorder and stamped comm
+/// log installed, under a [`TimedWorld`] charging the paper's Arctic
+/// fabric. Returns the body's result with the rank's telemetry and log.
+fn instrumented<W: CommWorld, T>(
+    world: &mut W,
+    body: impl FnOnce(&mut TimedWorld<'_, W>) -> T,
+) -> (T, RankTelemetry, Vec<Stamped>) {
+    telemetry::enable_with_rates(world.rank(), FPS_MFLOPS, FDS_MFLOPS);
+    telemetry::commlog::install();
+    let net = arctic_paper();
+    let out = body(&mut TimedWorld::new(world, &net));
+    let stamped = telemetry::commlog::take_stamped();
+    let tel = telemetry::disable().expect("telemetry was enabled");
+    (out, tel, stamped)
+}
+
+/// Seeded perturbation of a model's initial stratification: makes every
+/// tour a genuine function of `seed` (solver trajectories, residuals,
+/// and the exported artifacts all move with it).
+fn perturb_theta(m: &mut Model, rank: usize, seed: u64) {
+    let mut rng = SplitMix64::new(seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for (i, j, k) in m.state.theta.clone().interior() {
+        m.state.theta.add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
+    }
+}
+
+/// The DES microbench legs on this thread: `legs` gets the host, the
+/// seeded exchange leg size and gsum operands, with the flight recorder
+/// installed to catch the router/NIU/comms crumbs. Returns the legs'
+/// result and the recorder dump.
+fn microbench<T>(seed: u64, legs: impl FnOnce(HostParams, u64, &[f64]) -> T) -> (T, String) {
+    flight::install(4096);
+    let leg_bytes = 256 + (seed % 7) * 64;
+    let values: Vec<f64> = (0..8)
+        .map(|i| ((seed >> (i % 8)) & 0xF) as f64 + i as f64)
+        .collect();
+    let out = legs(HostParams::default(), leg_bytes, &values);
+    let tr = flight::take().expect("flight recorder was installed");
+    let dump = format!(
+        "[flight recorder] {} events ({} dropped)\n{}",
+        tr.len(),
+        tr.dropped(),
+        tr.dump()
+    );
+    (out, dump)
+}
+
+/// Build the analytical model for one model instance `m` on the tour's
+/// 2×2 decomposition: its levels, its measured flop coefficients, and
+/// the same interconnect cost model `TimedWorld` charged against.
+fn model_for(net: &dyn Interconnect, m: &Model) -> PerfModel {
+    let nz = m.cfg.grid.nz;
+    let (nps, nds) = m.measured_n_coefficients();
+    let (tx, ty) = (NX / PX, NY / PY);
+    let elem = 8u64;
+    // One 3-D field exchange: x phase moves width-3 strips to 2 neighbors
+    // (send + receive legs each), then y phase moves halo-widened rows.
+    let xleg3 = (3 * ty * nz) as u64 * elem;
+    let yleg3 = ((tx + 6) * 3 * nz) as u64 * elem;
+    let texch_xyz = net.exchange_time(&ExchangeShape::from_legs(vec![
+        xleg3, xleg3, xleg3, xleg3, yleg3, yleg3, yleg3, yleg3,
+    ]));
+    // One 2-D field exchange, width 1.
+    let xleg2 = ty as u64 * elem;
+    let yleg2 = (tx + 2) as u64 * elem;
+    let texch_xy = net.exchange_time(&ExchangeShape::from_legs(vec![
+        xleg2, xleg2, xleg2, xleg2, yleg2, yleg2, yleg2, yleg2,
+    ]));
+    PerfModel {
+        ps: PsParams {
+            nps,
+            nxyz: m.masks.wet_cells,
+            texch_xyz_us: texch_xyz.as_us_f64(),
+            fps_mflops: FPS_MFLOPS,
+        },
+        ds: DsParams {
+            nds,
+            nxy: m.masks.wet_columns(),
+            tgsum_us: net.gsum_time(NRANKS as u32).as_us_f64(),
+            texch_xy_us: texch_xy.as_us_f64(),
+            fds_mflops: FDS_MFLOPS,
+        },
+    }
+}
+
+// --- the profiling tour -------------------------------------------------
+
+/// Everything the profiling tour produces.
 pub struct TourArtifacts {
     /// Chrome trace-event JSON (load in chrome://tracing or Perfetto).
     pub chrome_json: String,
@@ -166,264 +230,132 @@ pub struct TourArtifacts {
 
 /// Per-worker results shipped back from the fan-out.
 struct RankRun {
+    model: Model,
     telemetry: RankTelemetry,
     /// Stamped comm log (feeds the Chrome flow events).
-    stamped: Vec<telemetry::commlog::Stamped>,
-    total_cg_iterations: u64,
-    wet_cells: u64,
-    wet_columns: u64,
-    measured_nps: f64,
-    measured_nds: f64,
+    stamped: Vec<Stamped>,
     /// This rank's per-step charged phase deltas + iteration counts.
     steps: Vec<StepSample>,
 }
 
-fn run_rank<W: hyades_comms::CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
+fn run_rank<W: CommWorld>(world: &mut W, seed: u64) -> RankRun {
     let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    if tour.commlog {
-        telemetry::commlog::install();
-    }
-    let d = Decomp::blocks(NX, NY, PX, PY, 3);
-    let cfg = ModelConfig::test_ocean(NX, NY, NZ, d);
-    let mut m = Model::new(cfg, rank);
-    // Seeded perturbation of the initial stratification: makes the run a
-    // genuine function of `seed` (solver trajectories, residuals, and the
-    // exported artifacts all move with it).
-    let mut rng =
-        SplitMix64::new(tour.seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for (i, j, k) in m.state.theta.clone().interior() {
-        m.state.theta.add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
-    }
-    let net = arctic_paper();
-    let mut timed = TimedWorld::new(world, &net);
-    let mut steps = Vec::with_capacity(tour.steps);
-    for _ in 0..tour.steps {
-        let before = telemetry::phase_totals();
-        let s = m.step(&mut timed);
-        assert!(s.cg_converged, "tour solver diverged");
-        let after = telemetry::phase_totals();
-        steps.push(StepSample {
-            ni: s.cg_iterations as u64,
-            measured: MeasuredPhases {
-                ps_compute_s: (after.ps_compute - before.ps_compute).as_secs_f64(),
-                ps_comm_s: (after.ps_comm - before.ps_comm).as_secs_f64(),
-                ds_compute_s: (after.ds_compute - before.ds_compute).as_secs_f64(),
-                ds_comm_s: (after.ds_comm - before.ds_comm).as_secs_f64(),
-            },
-        });
-    }
-    let (nps, nds) = m.measured_n_coefficients();
+    let ((model, steps), telemetry, stamped) = instrumented(world, |timed| {
+        let d = Decomp::blocks(NX, NY, PX, PY, 3);
+        let mut m = Model::new(ModelConfig::test_ocean(NX, NY, NZ, d), rank);
+        perturb_theta(&mut m, rank, seed);
+        let steps: Vec<StepSample> = (0..STEPS)
+            .map(|_| {
+                let before = telemetry::phase_totals();
+                let s = m.step(timed);
+                assert!(s.cg_converged, "tour solver diverged");
+                let after = telemetry::phase_totals();
+                StepSample {
+                    ni: s.cg_iterations as u64,
+                    measured: MeasuredPhases {
+                        ps_compute_s: (after.ps_compute - before.ps_compute).as_secs_f64(),
+                        ps_comm_s: (after.ps_comm - before.ps_comm).as_secs_f64(),
+                        ds_compute_s: (after.ds_compute - before.ds_compute).as_secs_f64(),
+                        ds_comm_s: (after.ds_comm - before.ds_comm).as_secs_f64(),
+                    },
+                }
+            })
+            .collect();
+        (m, steps)
+    });
     RankRun {
-        stamped: telemetry::commlog::take_stamped(),
-        telemetry: telemetry::disable().expect("telemetry was enabled"),
-        total_cg_iterations: m.total_cg_iterations,
-        wet_cells: m.masks.wet_cells,
-        wet_columns: m.masks.wet_columns(),
-        measured_nps: nps,
-        measured_nds: nds,
+        model,
+        telemetry,
+        stamped,
         steps,
     }
-}
-
-/// The DES microbenchmark leg: exchange + butterfly gsum on the simulated
-/// fabric, recorded as event-timeline spans under a dedicated rank, with
-/// the flight recorder capturing router/NIU/comms breadcrumbs.
-fn run_microbench(tour: &TourConfig) -> (RankTelemetry, String) {
-    let seed = tour.seed;
-    telemetry::enable_with_rates(NRANKS, FPS_MFLOPS, FDS_MFLOPS);
-    if tour.flight {
-        flight::install(4096);
-    }
-    let host = HostParams::default();
-    let leg_bytes = 256 + (seed % 7) * 64;
-    let t_exch = measure_exchange(host, 2, 2, leg_bytes);
-    let values: Vec<f64> = (0..8)
-        .map(|i| ((seed >> (i % 8)) & 0xF) as f64 + i as f64)
-        .collect();
-    let g = measure_gsum(host, &values, false);
-    telemetry::observe_duration_us("tour.microbench", "exchange_elapsed_us", t_exch);
-    telemetry::observe_duration_us("tour.microbench", "gsum_elapsed_us", g.elapsed);
-    telemetry::count("tour.microbench", "exchange_leg_bytes", leg_bytes);
-    let dump = match flight::take() {
-        Some(tr) => format!(
-            "[flight recorder] {} events ({} dropped)\n{}",
-            tr.len(),
-            tr.dropped(),
-            tr.dump()
-        ),
-        None => String::from("[flight recorder] not installed\n"),
-    };
-    let tel = telemetry::disable().expect("telemetry was enabled");
-    (tel, dump)
-}
-
-/// Build the analytical model for one model instance on the tour's 2×2
-/// decomposition: `nz` levels, the run's measured flop coefficients, and
-/// the same interconnect cost model `TimedWorld` charged against.
-fn model_for(
-    net: &dyn Interconnect,
-    nz: usize,
-    nps: f64,
-    nds: f64,
-    wet_cells: u64,
-    wet_columns: u64,
-) -> PerfModel {
-    let (tx, ty) = (NX / PX, NY / PY);
-    let elem = 8u64;
-    // One 3-D field exchange: x phase moves width-3 strips to 2 neighbors
-    // (send + receive legs each), then y phase moves halo-widened rows.
-    let xleg3 = (3 * ty * nz) as u64 * elem;
-    let yleg3 = ((tx + 6) * 3 * nz) as u64 * elem;
-    let texch_xyz = net.exchange_time(&ExchangeShape::from_legs(vec![
-        xleg3, xleg3, xleg3, xleg3, yleg3, yleg3, yleg3, yleg3,
-    ]));
-    // One 2-D field exchange, width 1.
-    let xleg2 = ty as u64 * elem;
-    let yleg2 = (tx + 2) as u64 * elem;
-    let texch_xy = net.exchange_time(&ExchangeShape::from_legs(vec![
-        xleg2, xleg2, xleg2, xleg2, yleg2, yleg2, yleg2, yleg2,
-    ]));
-    PerfModel {
-        ps: PsParams {
-            nps,
-            nxyz: wet_cells,
-            texch_xyz_us: texch_xyz.as_us_f64(),
-            fps_mflops: FPS_MFLOPS,
-        },
-        ds: DsParams {
-            nds,
-            nxy: wet_columns,
-            tgsum_us: net.gsum_time(NRANKS as u32).as_us_f64(),
-            texch_xy_us: texch_xy.as_us_f64(),
-            fds_mflops: FDS_MFLOPS,
-        },
-    }
-}
-
-/// The analytical model matching the single-model tour configuration.
-fn tour_model(net: &dyn Interconnect, rank0: &RankRun) -> PerfModel {
-    model_for(
-        net,
-        NZ,
-        rank0.measured_nps,
-        rank0.measured_nds,
-        rank0.wet_cells,
-        rank0.wet_columns,
-    )
-}
-
-/// Run the full tour for `seed` with the default [`TourConfig`].
-pub fn run(seed: u64) -> TourArtifacts {
-    TourConfig::new(seed).run_tour()
 }
 
 impl TourConfig {
     /// The profiling tour (E14): instrumented GCM fan-out + DES
     /// microbench + model-vs-measured phase report.
     pub fn run_tour(&self) -> TourArtifacts {
-        run_tour_impl(self)
+        // 1. Instrumented GCM fan-out.
+        let net = arctic_paper();
+        let mut runs = ThreadWorld::run(NRANKS, |w| run_rank(w, self.seed));
+
+        // 2. DES microbench on this thread, as an extra "rank" holding
+        //    the event timeline.
+        telemetry::enable_with_rates(NRANKS, FPS_MFLOPS, FDS_MFLOPS);
+        let ((), flight_dump) = microbench(self.seed, |host, leg_bytes, values| {
+            let t_exch = measure_exchange(host, 2, 2, leg_bytes);
+            let g = measure_gsum(host, values, false);
+            telemetry::observe_duration_us("tour.microbench", "exchange_elapsed_us", t_exch);
+            telemetry::observe_duration_us("tour.microbench", "gsum_elapsed_us", g.elapsed);
+            telemetry::count("tour.microbench", "exchange_leg_bytes", leg_bytes);
+        });
+        let bench_tel = telemetry::disable().expect("telemetry was enabled");
+
+        // 3. Model-vs-measured phase comparison (mean over the GCM ranks;
+        //    every rank ran the same-shape tile, so the mean is the
+        //    per-rank story eqs. (4)–(13) tell).
+        let model = model_for(&net, &runs[0].model);
+        let mut totals = telemetry::PhaseTotals::default();
+        for r in &runs {
+            totals.merge(&r.telemetry.phases);
+        }
+        let n = NRANKS as f64;
+        let measured = MeasuredPhases {
+            ps_compute_s: totals.ps_compute.as_secs_f64() / n,
+            ps_comm_s: totals.ps_comm.as_secs_f64() / n,
+            ds_compute_s: totals.ds_compute.as_secs_f64() / n,
+            ds_comm_s: totals.ds_comm.as_secs_f64() / n,
+        };
+        let ni_total = runs[0].model.total_cg_iterations;
+        let cmp = phases::compare(&model, STEPS as u64, ni_total, &measured);
+
+        // Per-step residual series: each step's sample is the rank-mean
+        // of the charged phase deltas (iteration counts are global, so
+        // any rank's `ni` works).
+        let mean = |i: usize, f: fn(&MeasuredPhases) -> f64| {
+            runs.iter().map(|r| f(&r.steps[i].measured)).sum::<f64>() / n
+        };
+        let step_samples: Vec<StepSample> = (0..STEPS)
+            .map(|i| StepSample {
+                ni: runs[0].steps[i].ni,
+                measured: MeasuredPhases {
+                    ps_compute_s: mean(i, |m| m.ps_compute_s),
+                    ps_comm_s: mean(i, |m| m.ps_comm_s),
+                    ds_compute_s: mean(i, |m| m.ds_compute_s),
+                    ds_comm_s: mean(i, |m| m.ds_comm_s),
+                },
+            })
+            .collect();
+        let series = phases::step_residual_series(&model, &step_samples);
+
+        // 4. Merge per-rank telemetry (rank order, then the bench rank)
+        //    and export both formats. Matched send→recv pairs from the
+        //    stamped comm logs become Chrome flow events, so the
+        //    cross-rank arrows are visible in the trace viewer.
+        let stamped: Vec<Vec<Stamped>> = runs
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.stamped))
+            .collect();
+        let mut ranks: Vec<RankTelemetry> = runs.into_iter().map(|r| r.telemetry).collect();
+        ranks.push(bench_tel);
+        let mut run_tel = RunTelemetry::from_ranks(ranks);
+        run_tel.set_flows(telemetry::flows_from_stamped(&stamped));
+
+        TourArtifacts {
+            chrome_json: run_tel.chrome_trace_json(),
+            text_summary: format!("{}\n{}", run_tel.text_summary(), flight_dump),
+            phase_report: cmp.render(),
+            residual_series: series.render(),
+            max_abs_residual: cmp.max_abs_residual(),
+            max_step_residual: series.max_abs_residual(),
+            span_count: run_tel.span_count(),
+        }
     }
 }
 
-fn run_tour_impl(tour: &TourConfig) -> TourArtifacts {
-    // 1. Instrumented GCM fan-out.
-    let net = arctic_paper();
-    let mut runs = ThreadWorld::run(NRANKS, |w| run_rank(w, tour));
+// --- the coupled tour ---------------------------------------------------
 
-    // 2. DES microbench on this thread, as an extra "rank" holding the
-    //    event timeline.
-    let (bench_tel, flight_dump) = run_microbench(tour);
-
-    // 3. Model-vs-measured phase comparison (mean over the GCM ranks;
-    //    every rank ran the same-shape tile, so the mean is the per-rank
-    //    story eqs. (4)–(13) tell).
-    let model = tour_model(&net, &runs[0]);
-    let mut totals = telemetry::PhaseTotals::default();
-    for r in &runs {
-        totals.merge(&r.telemetry.phases);
-    }
-    let n = NRANKS as f64;
-    let measured = MeasuredPhases {
-        ps_compute_s: totals.ps_compute.as_secs_f64() / n,
-        ps_comm_s: totals.ps_comm.as_secs_f64() / n,
-        ds_compute_s: totals.ds_compute.as_secs_f64() / n,
-        ds_comm_s: totals.ds_comm.as_secs_f64() / n,
-    };
-    let ni_total = runs[0].total_cg_iterations;
-    let cmp = phases::compare(&model, tour.steps as u64, ni_total, &measured);
-    let max_abs_residual = cmp.max_abs_residual();
-    let phase_report = cmp.render();
-
-    // Per-step residual series: each step's sample is the rank-mean of
-    // the charged phase deltas (iteration counts are global, so any
-    // rank's `ni` works).
-    let step_samples: Vec<StepSample> = (0..tour.steps)
-        .map(|i| StepSample {
-            ni: runs[0].steps[i].ni,
-            measured: MeasuredPhases {
-                ps_compute_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ps_compute_s)
-                    .sum::<f64>()
-                    / n,
-                ps_comm_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ps_comm_s)
-                    .sum::<f64>()
-                    / n,
-                ds_compute_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ds_compute_s)
-                    .sum::<f64>()
-                    / n,
-                ds_comm_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ds_comm_s)
-                    .sum::<f64>()
-                    / n,
-            },
-        })
-        .collect();
-    let series = phases::step_residual_series(&model, &step_samples);
-    let max_step_residual = series.max_abs_residual();
-    let residual_series = series.render();
-
-    // 4. Merge per-rank telemetry (rank order, then the bench rank) and
-    //    export both formats. Matched send→recv pairs from the stamped
-    //    comm logs become Chrome flow events, so the cross-rank arrows
-    //    are visible in the trace viewer.
-    let stamped: Vec<Vec<telemetry::commlog::Stamped>> = runs
-        .iter_mut()
-        .map(|r| std::mem::take(&mut r.stamped))
-        .collect();
-    let mut ranks: Vec<RankTelemetry> = runs.drain(..).map(|r| r.telemetry).collect();
-    ranks.push(bench_tel);
-    let mut run_tel = RunTelemetry::from_ranks(ranks);
-    run_tel.set_flows(telemetry::flows_from_stamped(&stamped));
-    let span_count = run_tel.span_count();
-    let chrome_json = run_tel.chrome_trace_json();
-    let text_summary = format!("{}\n{}", run_tel.text_summary(), flight_dump);
-
-    TourArtifacts {
-        chrome_json,
-        text_summary,
-        phase_report,
-        residual_series,
-        max_abs_residual,
-        max_step_residual,
-        span_count,
-    }
-}
-
-// --- the coupled diagnostics tour -------------------------------------
-
-/// Steps of the coupled run-health tour.
-const CSTEPS: usize = 4;
-
-/// Everything the coupled diagnostics tour produces. Every artifact is a
-/// pure function of `seed` (pinned byte-identical by
-/// `tests/determinism.rs`).
+/// The run-health diagnostics of a coupled run (E18).
 pub struct DiagArtifacts {
     /// Per-timestep diagnostics tables for both isomorphs (MITgcm
     /// monitor style).
@@ -444,152 +376,7 @@ pub struct DiagArtifacts {
     pub max_cfl: f64,
 }
 
-/// The coupled pair of the diagnostics tour: miniature 2.8125°-style
-/// atmosphere over a test ocean, both on the tour's 2×2 decomposition.
-fn coupled_pair(rank: usize) -> CoupledModel {
-    let d = Decomp::blocks(NX, NY, PX, PY, 3);
-    let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-    acfg.grid = Grid::global(NX, NY, 5, 60.0, vec![2.0e4; 5]);
-    acfg.decomp = d;
-    acfg.dt = 600.0;
-    let mut ocfg = ModelConfig::test_ocean(NX, NY, 6, d);
-    ocfg.grid = Grid::global(NX, NY, 6, 60.0, stretched_levels(6, 3000.0));
-    ocfg.forcing = SurfaceForcing::Coupled;
-    CoupledModel::new(Model::new(acfg, rank), Model::new(ocfg, rank), 2)
-}
-
-struct CoupledRankRun {
-    telemetry: RankTelemetry,
-    atmos: RunMonitor,
-    ocean: RunMonitor,
-}
-
-/// Build the seeded coupled pair shared by the diag/critpath/resilient
-/// tours: `coupled_pair` for this rank with the ocean stratification
-/// perturbed by `seed` and the boundary fields re-derived so the coupled
-/// state stays self-consistent.
-fn seeded_coupled_pair(rank: usize, seed: u64) -> CoupledModel {
-    let mut c = coupled_pair(rank);
-    let mut rng = SplitMix64::new(seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for (i, j, k) in c.ocean.state.theta.clone().interior() {
-        c.ocean
-            .state
-            .theta
-            .add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
-    }
-    c.exchange_boundary_conditions();
-    c
-}
-
-fn run_coupled_rank<W: hyades_comms::CommWorld>(
-    world: &mut W,
-    tour: &TourConfig,
-) -> CoupledRankRun {
-    let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    let mut c = seeded_coupled_pair(rank, tour.seed);
-
-    let net = arctic_paper();
-    let mut timed = TimedWorld::new(world, &net);
-    let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    for _ in 0..tour.coupled_steps {
-        let healthy = c.step_monitored(&mut timed, &mut atmos, &mut ocean);
-        assert!(
-            healthy,
-            "coupled diag tour tripped the sentinel: {}",
-            atmos
-                .blowup()
-                .or(ocean.blowup())
-                .map(|r| r.render())
-                .unwrap_or_default()
-        );
-    }
-    CoupledRankRun {
-        telemetry: telemetry::disable().expect("telemetry was enabled"),
-        atmos,
-        ocean,
-    }
-}
-
-/// Run the coupled diagnostics tour: a 2×2-rank coupled
-/// atmosphere–ocean run under `TimedWorld` with per-step run-health
-/// monitoring and the sentinel armed. Every diagnostic is reduced
-/// through the communicator, so all ranks hold identical series; rank
-/// 0's is *the* global series.
-pub fn run_coupled_diag(seed: u64) -> DiagArtifacts {
-    TourConfig::new(seed).run_coupled_diag()
-}
-
-impl TourConfig {
-    /// The run-health tour (E18): monitored coupled run, all three
-    /// diagnostics renderings.
-    pub fn run_coupled_diag(&self) -> DiagArtifacts {
-        run_coupled_diag_impl(self)
-    }
-}
-
-fn run_coupled_diag_impl(tour: &TourConfig) -> DiagArtifacts {
-    let runs = ThreadWorld::run(NRANKS, |w| run_coupled_rank(w, tour));
-    let r0 = &runs[0];
-
-    let text = format!(
-        "{}\n{}",
-        r0.atmos.series().render_text(),
-        r0.ocean.series().render_text()
-    );
-    let json = format!(
-        "{{\"diag\":[{},{}]}}",
-        r0.atmos.series().render_json(),
-        r0.ocean.series().render_json()
-    );
-    let prom = format!(
-        "{}{}",
-        r0.atmos.series().render_prom("hyades"),
-        r0.ocean.series().render_prom("hyades")
-    );
-
-    let (cg_iters_p50, cg_iters_p99) = r0
-        .telemetry
-        .registry
-        .hist("gcm.cg", "iterations_per_solve")
-        .map(|h| (h.p50(), h.p99()))
-        .unwrap_or((0, 0));
-    let max_cfl = r0
-        .atmos
-        .series()
-        .max("cfl_adv")
-        .unwrap_or(f64::NAN)
-        .max(r0.ocean.series().max("cfl_adv").unwrap_or(f64::NAN));
-
-    DiagArtifacts {
-        text,
-        json,
-        prom,
-        steps: r0.ocean.steps(),
-        // Trip decisions come from reduced values, so every rank agrees;
-        // rank 0's count is the global count.
-        sentinel_trips: r0.atmos.trips() + r0.ocean.trips(),
-        cg_iters_p50,
-        cg_iters_p99,
-        max_cfl,
-    }
-}
-
-// --- the critical-path tour -------------------------------------------
-
-/// A deliberate per-rank compute perturbation: before each timestep's
-/// communication, `rank` is charged `extra_flops` of PS compute, slowing
-/// its entry into every exchange and reduction of that step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Straggler {
-    pub rank: usize,
-    pub extra_flops: u64,
-}
-
-/// Everything the critical-path tour produces. Every artifact is a pure
-/// function of `(seed, straggler)` (pinned byte-identical by
-/// `tests/determinism.rs`).
+/// The critical-path profile of a coupled run (E19).
 pub struct CritArtifacts {
     /// The full critical-path report (per-step table, chain, slack,
     /// attribution, wait-vs-wire).
@@ -610,106 +397,146 @@ pub struct CritArtifacts {
     pub messages: usize,
 }
 
-struct CritRankRun {
-    telemetry: RankTelemetry,
-    stamped: Vec<telemetry::commlog::Stamped>,
-    /// Per-step CG iteration counts for each isomorph (globally reduced,
-    /// so identical on every rank).
-    ni_atmos: Vec<u64>,
-    ni_ocean: Vec<u64>,
-    atmos_coeffs: (f64, f64, u64, u64),
-    ocean_coeffs: (f64, f64, u64, u64),
+/// Everything one coupled run produces. Every artifact is a pure
+/// function of `(seed, straggler)`.
+pub struct CoupledArtifacts {
+    /// The run-health diagnostics (E18).
+    pub diag: DiagArtifacts,
+    /// The critical-path profile (E19).
+    pub critpath: CritArtifacts,
 }
 
-fn run_critpath_rank<W: hyades_comms::CommWorld>(world: &mut W, tour: &TourConfig) -> CritRankRun {
-    let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    telemetry::commlog::install();
-    let mut c = seeded_coupled_pair(rank, tour.seed);
+/// The coupled pair of the tour: miniature 2.8125°-style atmosphere over
+/// a test ocean, both on the tour's 2×2 decomposition, with the ocean
+/// stratification perturbed by `seed` and the boundary fields re-derived
+/// so the coupled state stays self-consistent.
+fn seeded_coupled_pair(rank: usize, seed: u64) -> CoupledModel {
+    let d = Decomp::blocks(NX, NY, PX, PY, 3);
+    let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
+    acfg.grid = Grid::global(NX, NY, 5, 60.0, vec![2.0e4; 5]);
+    acfg.decomp = d;
+    acfg.dt = 600.0;
+    let mut ocfg = ModelConfig::test_ocean(NX, NY, 6, d);
+    ocfg.grid = Grid::global(NX, NY, 6, 60.0, stretched_levels(6, 3000.0));
+    ocfg.forcing = SurfaceForcing::Coupled;
+    let mut c = CoupledModel::new(Model::new(acfg, rank), Model::new(ocfg, rank), 2);
+    perturb_theta(&mut c.ocean, rank, seed);
+    c.exchange_boundary_conditions();
+    c
+}
 
-    let net = arctic_paper();
-    let mut timed = TimedWorld::new(world, &net);
-    let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    let mut ni_atmos = Vec::with_capacity(tour.coupled_steps);
-    let mut ni_ocean = Vec::with_capacity(tour.coupled_steps);
-    for s in 0..tour.coupled_steps {
-        telemetry::commlog::mark_step(s as u32 + 1);
-        if let Some(st) = tour.straggler {
-            if st.rank == rank {
+struct CoupledRankRun {
+    model: CoupledModel,
+    atmos: RunMonitor,
+    ocean: RunMonitor,
+    telemetry: RankTelemetry,
+    stamped: Vec<Stamped>,
+    /// Per-step CG iteration counts `(atmos, ocean)` (globally reduced,
+    /// so identical on every rank).
+    ni: Vec<(u64, u64)>,
+}
+
+/// The coupled per-rank driver: the seeded pair stepped through the
+/// monitored stepper with every step's comm ops stamped, and the
+/// straggler (if any) charged before each step's first comm op.
+fn coupled_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> CoupledRankRun {
+    let rank = world.rank();
+    let ((model, atmos, ocean, ni), telemetry, stamped) = instrumented(world, |timed| {
+        let mut c = seeded_coupled_pair(rank, tour.seed);
+        let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
+        let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
+        let mut ni = Vec::with_capacity(CSTEPS);
+        for s in 0..CSTEPS {
+            telemetry::commlog::mark_step(s as u32 + 1);
+            if let Some(st) = tour.straggler.filter(|st| st.rank == rank) {
                 // The perturbation lands *before* the step's first comm
                 // op: compute after a rank's last recorded event is
                 // invisible to the DAG.
                 telemetry::charge_flops(telemetry::Phase::Ps, st.extra_flops);
             }
+            let (sa, so, healthy) = c.step_monitored_full(timed, &mut atmos, &mut ocean);
+            assert!(
+                healthy,
+                "coupled tour tripped the sentinel: {}",
+                atmos
+                    .blowup()
+                    .or(ocean.blowup())
+                    .map(|r| r.render())
+                    .unwrap_or_default()
+            );
+            ni.push((sa.cg_iterations as u64, so.cg_iterations as u64));
         }
-        let (sa, so, healthy) = c.step_monitored_full(&mut timed, &mut atmos, &mut ocean);
-        assert!(healthy, "critpath tour tripped the sentinel");
-        ni_atmos.push(sa.cg_iterations as u64);
-        ni_ocean.push(so.cg_iterations as u64);
+        (c, atmos, ocean, ni)
+    });
+    CoupledRankRun {
+        model,
+        atmos,
+        ocean,
+        telemetry,
+        stamped,
+        ni,
     }
-    let (anps, ands) = c.atmos.measured_n_coefficients();
-    let (onps, onds) = c.ocean.measured_n_coefficients();
-    CritRankRun {
-        stamped: telemetry::commlog::take_stamped(),
-        telemetry: telemetry::disable().expect("telemetry was enabled"),
-        ni_atmos,
-        ni_ocean,
-        atmos_coeffs: (
-            anps,
-            ands,
-            c.atmos.masks.wet_cells,
-            c.atmos.masks.wet_columns(),
-        ),
-        ocean_coeffs: (
-            onps,
-            onds,
-            c.ocean.masks.wet_cells,
-            c.ocean.masks.wet_columns(),
-        ),
-    }
-}
-
-/// Run the critical-path tour: the coupled diagnostics run, stamped and
-/// reconstructed into the global event DAG, with an optional injected
-/// straggler. Returns the byte-stable report/JSON/trace plus the
-/// model-vs-path residuals.
-pub fn run_critpath(seed: u64, straggler: Option<Straggler>) -> CritArtifacts {
-    let mut cfg = TourConfig::new(seed);
-    cfg.straggler = straggler;
-    cfg.run_critpath()
 }
 
 impl TourConfig {
-    /// The critical-path tour (E19): stamped coupled run reconstructed
-    /// into the global event DAG, with the configured straggler (if any).
-    pub fn run_critpath(&self) -> CritArtifacts {
-        run_critpath_impl(self)
+    /// The coupled tour: a 2×2-rank coupled atmosphere–ocean run under
+    /// `TimedWorld` with per-step run-health monitoring, the sentinel
+    /// armed and the configured straggler (if any), reconstructed into
+    /// the global event DAG. Every diagnostic is reduced through the
+    /// communicator, so all ranks hold identical series; rank 0's is
+    /// *the* global series.
+    pub fn run_coupled(&self) -> CoupledArtifacts {
+        let runs = ThreadWorld::run(NRANKS, |w| coupled_rank(w, self));
+        let net = arctic_paper();
+        CoupledArtifacts {
+            diag: diag_artifacts(&runs[0]),
+            critpath: critpath_artifacts(&net, runs),
+        }
     }
 }
 
-fn run_critpath_impl(tour: &TourConfig) -> CritArtifacts {
-    let mut runs = ThreadWorld::run(NRANKS, |w| run_critpath_rank(w, tour));
-    let logs: Vec<Vec<telemetry::commlog::Stamped>> = runs
+fn diag_artifacts(r0: &CoupledRankRun) -> DiagArtifacts {
+    let (a, o) = (r0.atmos.series(), r0.ocean.series());
+    let (cg_iters_p50, cg_iters_p99) = r0
+        .telemetry
+        .registry
+        .hist("gcm.cg", "iterations_per_solve")
+        .map(|h| (h.p50(), h.p99()))
+        .unwrap_or((0, 0));
+    DiagArtifacts {
+        text: format!("{}\n{}", a.render_text(), o.render_text()),
+        json: format!("{{\"diag\":[{},{}]}}", a.render_json(), o.render_json()),
+        prom: format!("{}{}", a.render_prom("hyades"), o.render_prom("hyades")),
+        steps: r0.ocean.steps(),
+        // Trip decisions come from reduced values, so every rank agrees;
+        // rank 0's count is the global count.
+        sentinel_trips: r0.atmos.trips() + r0.ocean.trips(),
+        cg_iters_p50,
+        cg_iters_p99,
+        max_cfl: a
+            .max("cfl_adv")
+            .unwrap_or(f64::NAN)
+            .max(o.max("cfl_adv").unwrap_or(f64::NAN)),
+    }
+}
+
+fn critpath_artifacts(net: &dyn Interconnect, mut runs: Vec<CoupledRankRun>) -> CritArtifacts {
+    let logs: Vec<Vec<Stamped>> = runs
         .iter_mut()
         .map(|r| std::mem::take(&mut r.stamped))
         .collect();
-
-    let net = arctic_paper();
     let wire = |words: usize| net.ptp_time((words * 8) as u64).as_ps();
     let cp = telemetry::critpath::analyze(&logs, &wire)
         .unwrap_or_else(|e| panic!("critpath analysis failed: {e}"));
 
     // Model-predicted coupled step cost vs the observed per-step path.
     let r0 = &runs[0];
-    let (anps, ands, acells, acols) = r0.atmos_coeffs;
-    let (onps, onds, ocells, ocols) = r0.ocean_coeffs;
-    let ma = model_for(&net, 5, anps, ands, acells, acols);
-    let mo = model_for(&net, 6, onps, onds, ocells, ocols);
-    let predicted: Vec<f64> = (0..tour.coupled_steps)
-        .map(|s| {
-            hyades_perf::slack::predicted_coupled_step(&ma, &mo, r0.ni_atmos[s], r0.ni_ocean[s])
-        })
+    let ma = model_for(net, &r0.model.atmos);
+    let mo = model_for(net, &r0.model.ocean);
+    let predicted: Vec<f64> = r0
+        .ni
+        .iter()
+        .map(|&(na, no)| hyades_perf::slack::predicted_coupled_step(&ma, &mo, na, no))
         .collect();
     let observed: Vec<f64> = cp
         .per_step_path_ps()
@@ -719,7 +546,7 @@ fn run_critpath_impl(tour: &TourConfig) -> CritArtifacts {
     let series = hyades_perf::slack::critpath_series(&predicted, &observed);
 
     // Chrome trace with the matched-message flow arrows.
-    let mut run_tel = RunTelemetry::from_ranks(runs.drain(..).map(|r| r.telemetry).collect());
+    let mut run_tel = RunTelemetry::from_ranks(runs.into_iter().map(|r| r.telemetry).collect());
     run_tel.set_flows(telemetry::flows_from_stamped(&logs));
 
     CritArtifacts {
@@ -734,11 +561,10 @@ fn run_critpath_impl(tour: &TourConfig) -> CritArtifacts {
     }
 }
 
-// --- the fault-recovery tour ------------------------------------------
+// --- the fault-recovery tour --------------------------------------------
 
 /// Everything the fault-recovery tour (E21) produces. Every artifact is
-/// a pure function of the [`TourConfig`] (pinned byte-identical by
-/// `tests/determinism.rs`).
+/// a pure function of the [`TourConfig`].
 pub struct ResilientArtifacts {
     /// Human-readable recovery report: fault plan, rollback/replay
     /// accounting, retransmit counters, clean-vs-faulty DES timings.
@@ -775,54 +601,36 @@ struct ResilientRankRun {
     identical: bool,
 }
 
-fn run_resilient_rank<W: hyades_comms::CommWorld>(
-    world: &mut W,
-    tour: &TourConfig,
-) -> ResilientRankRun {
-    let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    let net = arctic_paper();
-
+fn resilient_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> ResilientRankRun {
     // Uninterrupted reference first (same seed, no faults): the identity
     // check below is against this run. Both runs execute the same
     // collective schedule on every rank, so interleaving them through
     // one communicator is safe.
-    let mut clean = seeded_coupled_pair(rank, tour.seed);
-    let mut ca = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut co = RunMonitor::new("ocean", SentinelConfig::default());
-    {
-        let mut timed = TimedWorld::new(world, &net);
-        for _ in 0..tour.coupled_steps {
-            let (_, _, healthy) = clean.step_monitored_full(&mut timed, &mut ca, &mut co);
-            assert!(healthy, "clean reference tripped the sentinel");
-        }
-    }
+    let clean = coupled_rank(world, tour);
 
     // The resilient run under the replicated fault plan.
-    let mut c = seeded_coupled_pair(rank, tour.seed);
+    let mut c = seeded_coupled_pair(world.rank(), tour.seed);
     let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
     let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone(), tour.checkpoint_every);
-    {
-        let mut timed = TimedWorld::new(world, &net);
-        let healthy = runner.run(
-            &mut c,
-            &mut timed,
-            &mut atmos,
-            &mut ocean,
-            tour.coupled_steps as u64,
-        );
-        assert!(healthy, "resilient tour tripped the sentinel");
-    }
+    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone(), CHECKPOINT_EVERY);
+    let net = arctic_paper();
+    let healthy = runner.run(
+        &mut c,
+        &mut TimedWorld::new(world, &net),
+        &mut atmos,
+        &mut ocean,
+        CSTEPS as u64,
+    );
+    assert!(healthy, "resilient tour tripped the sentinel");
 
-    let identical = clean.atmos.state.theta.raw() == c.atmos.state.theta.raw()
-        && clean.atmos.state.u.raw() == c.atmos.state.u.raw()
-        && clean.ocean.state.theta.raw() == c.ocean.state.theta.raw()
-        && clean.ocean.state.u.raw() == c.ocean.state.u.raw()
-        && clean.ocean.state.ps.raw() == c.ocean.state.ps.raw()
-        && ca.series() == atmos.series()
-        && co.series() == ocean.series();
-    telemetry::disable().expect("telemetry was enabled");
+    let r = &clean.model;
+    let identical = r.atmos.state.theta.raw() == c.atmos.state.theta.raw()
+        && r.atmos.state.u.raw() == c.atmos.state.u.raw()
+        && r.ocean.state.theta.raw() == c.ocean.state.theta.raw()
+        && r.ocean.state.u.raw() == c.ocean.state.u.raw()
+        && r.ocean.state.ps.raw() == c.ocean.state.ps.raw()
+        && clean.atmos.series() == atmos.series()
+        && clean.ocean.series() == ocean.series();
     ResilientRankRun {
         atmos,
         ocean,
@@ -838,7 +646,7 @@ impl TourConfig {
     /// plan's link faults to exercise the CRC-retransmit protocol — with
     /// a built-in bit-identity check against the uninterrupted run.
     pub fn run_resilient(&self) -> ResilientArtifacts {
-        let runs = ThreadWorld::run(NRANKS, |w| run_resilient_rank(w, self));
+        let runs = ThreadWorld::run(NRANKS, |w| resilient_rank(w, self));
         let r0 = &runs[0];
         let stats = r0.stats;
         let recovered_identical = runs.iter().all(|r| r.identical);
@@ -849,33 +657,21 @@ impl TourConfig {
             .min_by_key(|cr| (cr.at_step, cr.rank))
             .map(|cr| cr.rank);
 
-        // DES recovery legs: the same microbench shapes as the profiling
-        // tour, but under the plan's link faults, with the flight
-        // recorder catching the retransmit crumbs.
-        if self.flight {
-            flight::install(4096);
-        }
-        let host = HostParams::default();
-        let leg_bytes = 256 + (self.seed % 7) * 64;
-        let t_exch = measure_exchange(host, 2, 2, leg_bytes);
-        let (t_exch_faulty, ex) = measure_exchange_faulty(host, 2, 2, leg_bytes, &self.fault_plan);
-        let values: Vec<f64> = (0..8)
-            .map(|i| ((self.seed >> (i % 8)) & 0xF) as f64 + i as f64)
-            .collect();
-        let g = measure_gsum(host, &values, false);
-        let (g_faulty, gs) = measure_gsum_faulty(host, &values, &self.fault_plan);
+        // DES recovery legs: the profiling tour's microbench shapes, each
+        // rerun under the plan's link faults, with the flight recorder
+        // catching the retransmit crumbs.
+        let plan = &self.fault_plan;
+        let ((t_exch, t_exch_faulty, g, g_faulty, counters), flight_dump) =
+            microbench(self.seed, |host, leg_bytes, values| {
+                let t_exch = measure_exchange(host, 2, 2, leg_bytes);
+                let (t_exch_faulty, mut counters) =
+                    measure_exchange_faulty(host, 2, 2, leg_bytes, plan);
+                let g = measure_gsum(host, values, false);
+                let (g_faulty, gs) = measure_gsum_faulty(host, values, plan);
+                counters.merge(&gs);
+                (t_exch, t_exch_faulty, g, g_faulty, counters)
+            });
         let gsum_exact = g_faulty.value == g.value;
-        let mut counters = ex;
-        counters.merge(&gs);
-        let flight_dump = match flight::take() {
-            Some(tr) => format!(
-                "[flight recorder] {} events ({} dropped)\n{}",
-                tr.len(),
-                tr.dropped(),
-                tr.dump()
-            ),
-            None => String::from("[flight recorder] not installed\n"),
-        };
 
         let diag_text = format!(
             "{}\n{}",
@@ -935,7 +731,7 @@ fn render_recovery_report(
     let _ = writeln!(
         out,
         "fault-recovery tour: seed {:#x}, {} ranks, {} coupled steps, checkpoint every {}",
-        tour.seed, NRANKS, tour.coupled_steps, tour.checkpoint_every
+        tour.seed, NRANKS, CSTEPS, CHECKPOINT_EVERY
     );
     out.push_str("\n[fault plan]\n");
     out.push_str(&tour.fault_plan.render());
@@ -1065,7 +861,7 @@ mod tests {
 
     #[test]
     fn tour_produces_all_artifacts() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.span_count > 0);
         // Valid-looking Chrome trace with both timelines present.
         assert!(t.chrome_json.starts_with("{\"traceEvents\":["));
@@ -1102,8 +898,8 @@ mod tests {
 
     #[test]
     fn tour_is_deterministic_per_seed() {
-        let a = run(3);
-        let b = run(3);
+        let a = TourConfig::new(3).run_tour();
+        let b = TourConfig::new(3).run_tour();
         assert_eq!(a.chrome_json, b.chrome_json);
         assert_eq!(a.text_summary, b.text_summary);
         assert_eq!(a.phase_report, b.phase_report);
@@ -1112,7 +908,7 @@ mod tests {
 
     #[test]
     fn tour_residual_series_has_one_row_per_step() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.residual_series.contains(&format!(
             "per-step model-vs-measured residuals ({STEPS} steps)"
         )));
@@ -1128,7 +924,7 @@ mod tests {
 
     #[test]
     fn tour_chrome_trace_carries_flow_events() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.chrome_json.contains("\"ph\":\"s\""), "no flow starts");
         assert!(
             t.chrome_json.contains("\"ph\":\"f\",\"bp\":\"e\""),
@@ -1138,7 +934,7 @@ mod tests {
 
     #[test]
     fn critpath_tour_without_straggler_is_balanced() {
-        let c = run_critpath(7, None);
+        let c = TourConfig::new(7).run_coupled().critpath;
         assert!(c.messages > 0);
         assert!(c.total_path_us > 0.0);
         // Identical tiles: no rank should own a grossly dominant share,
@@ -1163,13 +959,13 @@ mod tests {
 
     #[test]
     fn critpath_tour_blames_the_injected_straggler() {
-        let c = run_critpath(
-            7,
-            Some(Straggler {
+        let c = TourConfig::new(7)
+            .straggler(Straggler {
                 rank: 2,
                 extra_flops: 50_000_000,
-            }),
-        );
+            })
+            .run_coupled()
+            .critpath;
         assert_eq!(
             c.blame,
             Some((2, telemetry::Phase::Ps)),
@@ -1218,28 +1014,18 @@ mod tests {
     }
 
     #[test]
-    fn tour_config_shims_match_legacy_entry_points() {
-        let a = run(5);
-        let b = TourConfig::new(5).run_tour();
-        assert_eq!(a.chrome_json, b.chrome_json);
-        assert_eq!(a.text_summary, b.text_summary);
-        let da = run_coupled_diag(5);
-        let db = TourConfig::new(5).run_coupled_diag();
-        assert_eq!(da.json, db.json);
-        assert_eq!(da.prom, db.prom);
-    }
-
-    #[test]
     fn exporters_bundle_the_tour_artifacts() {
         use hyades_telemetry::Exporter as _;
-        let d = run_coupled_diag(7);
+        let CoupledArtifacts {
+            diag: d,
+            critpath: c,
+        } = TourConfig::new(7).run_coupled();
         let arts = d.exporter().artifacts();
         assert_eq!(arts.len(), 3);
         assert_eq!(arts[0].file_name(), "diag.txt");
         assert_eq!(arts[1].file_name(), "diag.json");
         assert_eq!(arts[2].file_name(), "diag.prom");
         assert_eq!(arts[1].bytes, d.json);
-        let c = run_critpath(7, None);
         let names: Vec<String> = c
             .exporter("critpath")
             .artifacts()
@@ -1259,7 +1045,7 @@ mod tests {
 
     #[test]
     fn coupled_diag_tour_is_healthy_and_complete() {
-        let d = run_coupled_diag(7);
+        let d = TourConfig::new(7).run_coupled().diag;
         assert_eq!(d.steps, CSTEPS as u64);
         assert_eq!(d.sentinel_trips, 0);
         assert!(d.cg_iters_p50 >= 1);

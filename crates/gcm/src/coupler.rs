@@ -166,7 +166,7 @@ mod tests {
         let mut ma = RunMonitor::new("atmos", SentinelConfig::default());
         let mut mo = RunMonitor::new("ocean", SentinelConfig::default());
         for _ in 0..4 {
-            assert!(c.step_monitored(&mut w, &mut ma, &mut mo));
+            assert!(c.step_monitored_full(&mut w, &mut ma, &mut mo).2);
         }
         assert_eq!(ma.steps(), 4);
         assert_eq!(mo.series().len(), 4);
@@ -241,26 +241,12 @@ impl CoupledModel {
     /// isomorph's [`RunMonitor`] observes its model through the same
     /// shared communicator (again in a fixed atmos-then-ocean order, so
     /// the collective schedule stays identical on every rank). Returns
-    /// `true` while both isomorphs are healthy; on `false` the caller
-    /// stops stepping and reads the blame from the tripped monitor.
+    /// both isomorphs' step statistics and a flag that is `true` while
+    /// both are healthy; on `false` the caller stops stepping and reads
+    /// the blame from the tripped monitor.
     ///
     /// [`step_shared`]: CoupledModel::step_shared
     /// [`RunMonitor`]: crate::monitor::RunMonitor
-    pub fn step_monitored(
-        &mut self,
-        world: &mut dyn CommWorld,
-        atmos_monitor: &mut crate::monitor::RunMonitor,
-        ocean_monitor: &mut crate::monitor::RunMonitor,
-    ) -> bool {
-        self.step_monitored_full(world, atmos_monitor, ocean_monitor)
-            .2
-    }
-
-    /// [`step_monitored`] returning both isomorphs' step statistics
-    /// alongside the health flag — the critical-path tour needs the
-    /// per-step CG iteration counts to drive the phase model.
-    ///
-    /// [`step_monitored`]: CoupledModel::step_monitored
     pub fn step_monitored_full(
         &mut self,
         world: &mut dyn CommWorld,

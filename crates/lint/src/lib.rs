@@ -42,6 +42,7 @@ pub mod uniform;
 
 pub use rules::{analyze, analyze_file, Finding};
 
+use hyades_telemetry::json::escape;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -148,7 +149,7 @@ impl LintReport {
         s.push_str("  \"notes\": [");
         for (i, n) in self.notes.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    \"{}\"", json_escape(n)));
+            s.push_str(&format!("    \"{}\"", escape(n)));
         }
         s.push_str(if self.notes.is_empty() {
             "],\n"
@@ -160,10 +161,10 @@ impl LintReport {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str(&format!(
                 "    {{\"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"rule\": \"{}\"}}",
-                json_escape(&v.rel_path),
+                escape(&v.rel_path),
                 v.line,
-                json_escape(&v.message),
-                json_escape(v.rule)
+                escape(&v.message),
+                escape(v.rule)
             ));
         }
         s.push_str(if self.violations.is_empty() {
@@ -188,22 +189,6 @@ impl LintReport {
             self.notes.len()
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// All workspace findings: per-file rule findings, one synthetic

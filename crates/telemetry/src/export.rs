@@ -18,6 +18,7 @@
 //! (asserted by `tests/determinism.rs`).
 
 use crate::commlog::Stamped;
+use crate::json::escape;
 use crate::matcher;
 use crate::recorder::{PhaseTotals, RankTelemetry, DES_PID, GCM_PID};
 use crate::registry::Registry;
@@ -309,29 +310,6 @@ fn us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-/// Minimal JSON string escaping (the strings are static labels, but be
-/// safe about quotes, backslashes, and control characters). Uses the
-/// same shorthand escapes as `prom.rs`'s label escaping (`\n`, `\r`,
-/// `\t`) so the two exporters render identical labels; other control
-/// characters fall back to `\u00xx`.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,16 +389,6 @@ mod tests {
         }
         let run = RunTelemetry::from_ranks(ranks);
         assert_eq!(run.merged_registry().counter("c", "n"), 4);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        // Shorthand escapes, matching prom.rs's label escaping.
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("x\r\ty"), "x\\r\\ty");
-        assert_eq!(escape("x\u{1}y"), "x\\u0001y");
     }
 
     #[test]

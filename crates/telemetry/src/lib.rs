@@ -40,6 +40,7 @@ pub mod critpath;
 pub mod diag;
 pub mod export;
 pub mod flight;
+pub mod json;
 pub mod matcher;
 pub mod prom;
 pub mod recorder;

@@ -13,14 +13,14 @@
 //! is misattributed. Artifacts land in `target/critpath/` — load the
 //! Chrome trace in Perfetto to see the flow arrows between ranks.
 
-use hyades::tour::{self, Straggler};
+use hyades::tour::{Straggler, TourConfig};
 use std::fs;
 use std::path::Path;
 
 fn main() {
     let seed = 7;
     println!("reconstructing the balanced run's critical path (seed {seed})...\n");
-    let base = tour::run_critpath(seed, None);
+    let base = TourConfig::new(seed).run_coupled().critpath;
     println!("{}", base.report);
     println!("{}", base.slack_report);
     println!(
@@ -37,7 +37,10 @@ fn main() {
         straggler.rank,
         straggler.extra_flops / 1_000_000
     );
-    let perturbed = tour::run_critpath(seed, Some(straggler));
+    let perturbed = TourConfig::new(seed)
+        .straggler(straggler)
+        .run_coupled()
+        .critpath;
     println!("{}", perturbed.report);
 
     let dir = Path::new("target/critpath");

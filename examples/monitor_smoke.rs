@@ -10,14 +10,14 @@
 //! per-field extremes with owning rank/level, CG convergence) and exits
 //! non-zero if the sentinel tripped. Artifacts land in `target/diag/`.
 
-use hyades::tour;
+use hyades::tour::TourConfig;
 use std::fs;
 use std::path::Path;
 
 fn main() {
     let seed = 7;
     println!("running the monitored coupled pair (seed {seed}, sentinel armed)...\n");
-    let d = tour::run_coupled_diag(seed);
+    let d = TourConfig::new(seed).run_coupled().diag;
 
     let dir = Path::new("target/diag");
     fs::create_dir_all(dir).expect("create target/diag");

@@ -1,5 +1,5 @@
-//! Telemetry tour: run one instrumented coupled step sequence with the
-//! flight recorder on, write both exporter artifacts, and print the
+//! Telemetry tour: run the instrumented profiling tour (GCM fan-out plus
+//! DES microbench) with the flight recorder on, write both exporter artifacts, and print the
 //! model-vs-measured phase report.
 //!
 //! ```sh
@@ -12,14 +12,14 @@
 //! * `tour.summary.txt` — deterministic text summary (spans, counters,
 //!   stats, histograms, flight-recorder dump)
 
-use hyades::tour;
+use hyades::tour::TourConfig;
 use std::fs;
 use std::path::Path;
 
 fn main() {
     let seed = 7;
     println!("running the instrumented telemetry tour (seed {seed})...\n");
-    let t = tour::run(seed);
+    let t = TourConfig::new(seed).run_tour();
 
     let dir = Path::new("target/telemetry");
     fs::create_dir_all(dir).expect("create target/telemetry");

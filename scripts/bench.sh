@@ -7,7 +7,8 @@
 # written through the unified exporter API — under target/observatory/.
 #
 #   scripts/bench.sh            # full run -> BENCH_pr10.json
-#   scripts/bench.sh --smoke    # CI-sized run, same embedded checks
+#   scripts/bench.sh --smoke --out target/bench-smoke.json
+#                               # CI-sized run, same embedded checks
 #   scripts/bench.sh diff A B   # budgeted cross-run comparison
 #
 # The bin exits non-zero if the congested workload shows no hotspot, if

@@ -23,8 +23,10 @@ fi
 lint_summary=$(cargo run -q -p hyades-lint -- --summary)
 echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 
-echo "==> cargo test -q"
-cargo test -q
+# Every workspace crate's tests (lint goldens, fabric/exchange property
+# tests, the tour unit tests), not just the root package's.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> SPMD uniformity proof (E20: every collective reached uniformly)"
 cargo run -q --release --example uniform_proof > target/e20-uniform.txt
@@ -46,11 +48,17 @@ echo "==> fault smoke (planned rank crash + lossy links; must recover bit-identi
 cargo run -q --release --example fault_smoke > target/fault-smoke.txt
 tail -n 1 target/fault-smoke.txt
 
+# The smoke summary goes under target/: the committed BENCH_*.json
+# trajectory files are full-mode runs and must not be overwritten.
 echo "==> perf baseline (smoke): fabric observatory + export determinism"
-scripts/bench.sh --smoke
+scripts/bench.sh --smoke --out target/bench-smoke.json
 
-echo "==> bench diff: BENCH_pr9.json vs BENCH_pr10.json (budgeted regression gate)"
+echo "==> bench diff: BENCH_pr9.json vs BENCH_pr10.json (committed trajectory)"
 ./target/release/baseline diff BENCH_pr9.json BENCH_pr10.json > target/bench-diff.json
 grep '"verdict"' target/bench-diff.json
+
+echo "==> bench diff: BENCH_pr10.json vs this build's smoke run (budgeted regression gate)"
+./target/release/baseline diff BENCH_pr10.json target/bench-smoke.json > target/bench-diff-smoke.json
+grep '"verdict"' target/bench-diff-smoke.json
 
 echo "All checks passed."

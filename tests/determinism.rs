@@ -19,6 +19,31 @@ use hyades::gcm::decomp::Decomp;
 use hyades::gcm::field::Field3;
 use hyades::gcm::halo::{exchange3, HaloField};
 
+/// FNV-1a over a word stream: pins a whole trace or artifact in one u64.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, w| {
+        (hash ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Check each named artifact against its pinned FNV-1a byte digest.
+/// The double-run checks compare two runs of one build; these digests
+/// also catch a change that moves both runs' bytes alike. On a mismatch
+/// every moved digest is listed, so a deliberate change re-pins at once.
+fn assert_pinned(artifacts: &[(&str, &str, u64)]) {
+    let moved: Vec<String> = artifacts
+        .iter()
+        .map(|&(name, text, want)| (name, fnv1a(text.bytes().map(u64::from)), want))
+        .filter(|&(_, got, want)| got != want)
+        .map(|(name, got, _)| format!("{name}: {got:#018x}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "artifact bytes moved:\n{}",
+        moved.join("\n")
+    );
+}
+
 /// One delivery, fully materialized: (sink, time in ps, src, usr_tag,
 /// payload words). Comparing vectors of these compares the whole trace.
 type DeliveryTrace = Vec<(u16, u64, u16, u16, Vec<u32>)>;
@@ -136,15 +161,11 @@ fn threaded_round(seed: u64) -> Vec<(u64, u64)> {
         // Hash the full halo ring (bit patterns, order fixed by the
         // loop): catches any exchange nondeterminism that cancels in a
         // sum.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for k in 0..nz {
-            for j in -(h as i64)..(t.ny as i64 + h as i64) {
-                for i in -(h as i64)..(t.nx as i64 + h as i64) {
-                    hash ^= field.get(i, j, k).to_bits();
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-        }
+        let (f, h) = (&field, h as i64);
+        let hash = fnv1a((0..nz).flat_map(|k| {
+            (-h..t.ny as i64 + h)
+                .flat_map(move |j| (-h..t.nx as i64 + h).map(move |i| f.get(i, j, k).to_bits()))
+        }));
         (total.to_bits(), hash)
     })
 }
@@ -175,8 +196,9 @@ fn telemetry_exports_are_bit_identical_across_runs() {
     // SimTime, f64 stats, and histogram buckets — any wall-clock leak,
     // hash-iteration order, or rank-merge shuffle in the recorder stack
     // shows up as a diff here.
-    let a = hyades::tour::run(0x7E1E_7E1E);
-    let b = hyades::tour::run(0x7E1E_7E1E);
+    let run = |seed| hyades::tour::TourConfig::new(seed).run_tour();
+    let a = run(0x7E1E_7E1E);
+    let b = run(0x7E1E_7E1E);
     assert!(a.span_count > 0, "tour recorded nothing");
     assert_eq!(
         a.chrome_json, b.chrome_json,
@@ -187,11 +209,17 @@ fn telemetry_exports_are_bit_identical_across_runs() {
         "text summary must replay byte-identically"
     );
     assert_eq!(a.phase_report, b.phase_report);
+    assert_pinned(&[
+        ("chrome", &a.chrome_json, 0x6e57_8322_d966_aa64),
+        ("text", &a.text_summary, 0x6780_3536_f153_b622),
+        ("phase", &a.phase_report, 0x0617_684d_9dee_546c),
+        ("residual", &a.residual_series, 0x9fe9_8bb6_ad55_ae12),
+    ]);
 
     // A different seed must move the artifacts, or the comparison above
     // is vacuous: the seed perturbs both the physics (solver residuals)
     // and the microbench shapes (exchange leg bytes).
-    let c = hyades::tour::run(0x5EED_0001);
+    let c = run(0x5EED_0001);
     assert_ne!(a.chrome_json, c.chrome_json);
     assert_ne!(a.text_summary, c.text_summary);
 }
@@ -289,17 +317,23 @@ fn coupled_diag_exports_are_bit_identical_across_runs() {
     // indicators, per-field extremes with blame coordinates, CG traces —
     // are built entirely from rank-ordered reductions, so all three
     // exporters must replay byte-for-byte.
-    let a = hyades::tour::run_coupled_diag(0xD1A6);
-    let b = hyades::tour::run_coupled_diag(0xD1A6);
+    let diag = |seed| hyades::tour::TourConfig::new(seed).run_coupled().diag;
+    let a = diag(0xD1A6);
+    let b = diag(0xD1A6);
     assert_eq!(a.text, b.text, "diag text must replay byte-identically");
     assert_eq!(a.json, b.json, "diag json must replay byte-identically");
     assert_eq!(a.prom, b.prom, "diag prom must replay byte-identically");
     assert_eq!(a.sentinel_trips, 0, "healthy run tripped the sentinel");
     assert!(a.steps > 0);
+    assert_pinned(&[
+        ("diag text", &a.text, 0x55e0_db32_e5a8_408a),
+        ("diag json", &a.json, 0x94f5_779a_0a67_bdb9),
+        ("diag prom", &a.prom, 0xb04e_d39b_7a20_0507),
+    ]);
 
     // A different seed perturbs the ocean initial state, which must move
     // the recorded extremes — otherwise the equality above is vacuous.
-    let c = hyades::tour::run_coupled_diag(0x0CEA);
+    let c = diag(0x0CEA);
     assert_ne!(a.text, c.text);
     assert_ne!(a.json, c.json);
 }
@@ -346,7 +380,7 @@ fn threaded_blowup_sentinel_blames_the_poisoned_cell() {
 
 #[test]
 fn critpath_blames_the_injected_straggler_byte_identically() {
-    use hyades::tour::Straggler;
+    use hyades::tour::{Straggler, TourConfig};
     use hyades_telemetry::Phase;
 
     // The critical-path profiler's golden test: delay one rank of the
@@ -360,8 +394,9 @@ fn critpath_blames_the_injected_straggler_byte_identically() {
         rank: 2,
         extra_flops: 50_000_000,
     };
-    let a = hyades::tour::run_critpath(0xC817, Some(straggler));
-    let b = hyades::tour::run_critpath(0xC817, Some(straggler));
+    let run = |cfg: TourConfig| cfg.run_coupled().critpath;
+    let a = run(TourConfig::new(0xC817).straggler(straggler));
+    let b = run(TourConfig::new(0xC817).straggler(straggler));
     assert_eq!(
         a.report, b.report,
         "critpath report must replay byte-identically"
@@ -377,14 +412,34 @@ fn critpath_blames_the_injected_straggler_byte_identically() {
         "misattributed straggler:\n{}",
         a.report
     );
+    assert_pinned(&[
+        ("straggler report", &a.report, 0x0d10_a5c2_5110_2448),
+        ("straggler json", &a.json, 0xf562_37c5_3cb9_1ba6),
+        ("straggler chrome", &a.chrome_json, 0x10bf_40c6_cf20_a638),
+        ("straggler slack", &a.slack_report, 0xf564_c5b5_6671_2709),
+    ]);
 
     // The balanced run must also replay byte-for-byte, and must not
     // blame the straggler's rank — otherwise the attribution above is
     // vacuous (e.g. rank 2 always winning a tiebreak).
-    let base_a = hyades::tour::run_critpath(0xC817, None);
-    let base_b = hyades::tour::run_critpath(0xC817, None);
+    let base_a = run(TourConfig::new(0xC817));
+    let base_b = run(TourConfig::new(0xC817));
     assert_eq!(base_a.report, base_b.report);
     assert_eq!(base_a.json, base_b.json);
+    assert_pinned(&[
+        ("balanced report", &base_a.report, 0xa93e_9558_37d4_9dea),
+        ("balanced json", &base_a.json, 0xfc58_9e60_59bf_bded),
+        (
+            "balanced chrome",
+            &base_a.chrome_json,
+            0x499f_74d3_7dfe_c13b,
+        ),
+        (
+            "balanced slack",
+            &base_a.slack_report,
+            0xd5f8_b4c4_8cf1_9edb,
+        ),
+    ]);
     assert_ne!(
         base_a.blame.map(|(r, _)| r),
         Some(straggler.rank),
@@ -423,6 +478,12 @@ fn recovery_exports_are_bit_identical_across_runs() {
         a.flight_dump, b.flight_dump,
         "recovery flight dump must replay byte-identically"
     );
+    assert_pinned(&[
+        ("recovery report", &a.report, 0xe435_d574_9696_ec96),
+        ("recovery json", &a.json, 0x5e6f_dd29_b38a_3dbf),
+        ("recovery diag", &a.diag_text, 0x92a0_345c_fe2e_73fc),
+        ("recovery flight", &a.flight_dump, 0x2db2_8b94_06af_7777),
+    ]);
 
     // A different seed moves both the physics and the fault windows, so
     // the artifacts must move too — otherwise the equality is vacuous.
