@@ -43,7 +43,11 @@ pub fn run() -> String {
         "collective call sites in non-test code: {}\n",
         un.collective_sites
     ));
-    s.push_str("lattice: Uniform < RankDependent; sources: .rank reads, received halo data\n\n");
+    s.push_str("lattice: Uniform < RankDependent; sources: .rank reads, received halo data\n");
+    s.push_str(&format!(
+        "fixpoint: converged after {} rounds ({} fn walks)\n\n",
+        un.rounds, un.walks
+    ));
 
     s.push_str("per-crate proof table:\n");
     s.push_str(&format!(
@@ -112,6 +116,7 @@ mod tests {
         let r = run();
         assert!(r.contains("collective-divergence findings: 0"), "{r}");
         assert!(r.contains("per-crate proof table:"), "{r}");
+        assert!(r.contains("fixpoint: converged after "), "{r}");
         assert!(r.contains("comms"), "{r}");
         assert!(r.contains("gcm"), "{r}");
     }

@@ -372,21 +372,25 @@ pub struct Sym {
 /// Name indexes over a symbol list; resolution semantics shared by flow
 /// and uniform (see module docs).
 pub struct Resolver {
-    methods: BTreeMap<(String, String), Vec<usize>>,
+    /// Self type → method name → ids. Nested so lookups borrow `&str`
+    /// keys; resolution runs once per call site per walk.
+    methods: BTreeMap<String, BTreeMap<String, Vec<usize>>>,
     methods_by_name: BTreeMap<String, Vec<usize>>,
     free_by_name: BTreeMap<String, Vec<usize>>,
 }
 
 impl Resolver {
     pub fn new(syms: &[Sym]) -> Resolver {
-        let mut methods: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+        let mut methods: BTreeMap<String, BTreeMap<String, Vec<usize>>> = BTreeMap::new();
         let mut methods_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut free_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (id, f) in syms.iter().enumerate() {
             match &f.self_ty {
                 Some(ty) => {
                     methods
-                        .entry((ty.clone(), f.name.clone()))
+                        .entry(ty.clone())
+                        .or_default()
+                        .entry(f.name.clone())
                         .or_default()
                         .push(id);
                     methods_by_name.entry(f.name.clone()).or_default().push(id);
@@ -406,65 +410,68 @@ impl Resolver {
     /// the test-scope rule (test fns are never callees of non-test
     /// code). Never returns the caller itself.
     pub fn candidates(&self, syms: &[Sym], caller: usize, call: &RawCall) -> Vec<usize> {
-        let cands: Vec<usize> = match call {
+        let caller_test = syms[caller].is_test;
+        let callable = |c: usize| c != caller && (caller_test || !syms[c].is_test);
+        let pick = |ids: &[usize], keep: &dyn Fn(usize) -> bool| -> Vec<usize> {
+            ids.iter()
+                .copied()
+                .filter(|&c| keep(c) && callable(c))
+                .collect()
+        };
+        match call {
             RawCall::Free { name } => {
-                let all = self.free_by_name.get(name).cloned().unwrap_or_default();
-                let same_file: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&c| syms[c].file == syms[caller].file)
-                    .collect();
-                if !same_file.is_empty() {
-                    same_file
+                let all = self.free_by_name.get(name).map_or(&[][..], Vec::as_slice);
+                let same_file = |c: usize| syms[c].file == syms[caller].file;
+                let same_crate = |c: usize| {
+                    syms[c].crate_name.is_some() && syms[c].crate_name == syms[caller].crate_name
+                };
+                // Narrow before the test-scope filter, as the scopes are
+                // defined over every symbol of that name.
+                if all.iter().any(|&c| same_file(c)) {
+                    pick(all, &same_file)
+                } else if all.iter().any(|&c| same_crate(c)) {
+                    pick(all, &same_crate)
                 } else {
-                    let same_crate: Vec<usize> = all
-                        .iter()
-                        .copied()
-                        .filter(|&c| {
-                            syms[c].crate_name.is_some()
-                                && syms[c].crate_name == syms[caller].crate_name
-                        })
-                        .collect();
-                    if !same_crate.is_empty() {
-                        same_crate
-                    } else {
-                        all
-                    }
+                    pick(all, &|_| true)
                 }
             }
-            RawCall::TypeQual { ty, name } => self
-                .methods
-                .get(&(ty.clone(), name.clone()))
-                .cloned()
-                .unwrap_or_default(),
-            RawCall::ModQual { module, name } => self
-                .free_by_name
-                .get(name)
-                .map(|all| {
-                    let tail = format!("::{module}::{name}");
-                    let exact = format!("{module}::{name}");
-                    all.iter()
-                        .copied()
-                        .filter(|&c| syms[c].qual.ends_with(&tail) || syms[c].qual == exact)
-                        .collect()
-                })
-                .unwrap_or_default(),
+            RawCall::TypeQual { ty, name } => pick(self.method_ids(ty, name), &|_| true),
+            RawCall::ModQual { module, name } => {
+                let all = self.free_by_name.get(name).map_or(&[][..], Vec::as_slice);
+                // `qual` is `module::name` or ends in `::module::name`.
+                let in_module = |c: usize| {
+                    syms[c]
+                        .qual
+                        .strip_suffix(name.as_str())
+                        .and_then(|q| q.strip_suffix("::"))
+                        .and_then(|q| q.strip_suffix(module.as_str()))
+                        .is_some_and(|q| q.is_empty() || q.ends_with("::"))
+                };
+                pick(all, &in_module)
+            }
             RawCall::Method { name, recv } => {
                 let keyed = recv
-                    .as_ref()
-                    .and_then(|ty| self.methods.get(&(ty.clone(), name.clone())))
-                    .cloned();
-                match keyed {
-                    Some(v) if !v.is_empty() => v,
-                    _ => self.methods_by_name.get(name).cloned().unwrap_or_default(),
+                    .as_deref()
+                    .map_or(&[][..], |ty| self.method_ids(ty, name));
+                if keyed.is_empty() {
+                    let all = self
+                        .methods_by_name
+                        .get(name)
+                        .map_or(&[][..], Vec::as_slice);
+                    pick(all, &|_| true)
+                } else {
+                    pick(keyed, &|_| true)
                 }
             }
-        };
-        let caller_test = syms[caller].is_test;
-        cands
-            .into_iter()
-            .filter(|&c| c != caller && (caller_test || !syms[c].is_test))
-            .collect()
+        }
+    }
+
+    /// Methods named `name` on self type `ty`.
+    fn method_ids(&self, ty: &str, name: &str) -> &[usize] {
+        self.methods
+            .get(ty)
+            .and_then(|by_name| by_name.get(name))
+            .map_or(&[], Vec::as_slice)
     }
 }
 

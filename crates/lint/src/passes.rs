@@ -193,8 +193,9 @@ pub struct FileCtx<'a> {
     /// For each closer token index, the opener index (and vice versa);
     /// `usize::MAX` elsewhere.
     partner: Vec<usize>,
-    /// 1-based lines that carry at least one code token.
-    lines_with_code: BTreeSet<usize>,
+    /// Indexed by 1-based line: does it carry at least one code token?
+    /// Index 0 and lines past the last code token read `false`.
+    lines_with_code: Vec<bool>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -202,14 +203,17 @@ impl<'a> FileCtx<'a> {
         let all = lex(source);
         let mut code = Vec::new();
         let mut comments = Vec::new();
-        let mut lines_with_code = BTreeSet::new();
+        let mut lines_with_code = Vec::new();
         for t in all {
             if matches!(t.kind, TokKind::Comment | TokKind::DocComment) {
                 comments.push(t);
             } else {
-                for l in 0..=t.extra_lines() {
-                    lines_with_code.insert((t.line + l) as usize);
+                let first = t.line as usize;
+                let last = first + t.extra_lines() as usize;
+                if lines_with_code.len() <= last {
+                    lines_with_code.resize(last + 1, false);
                 }
+                lines_with_code[first..=last].fill(true);
                 code.push(t);
             }
         }
@@ -259,7 +263,7 @@ impl<'a> FileCtx<'a> {
 
     /// Does line `l` (1-based) carry any code token?
     pub fn line_has_code(&self, l: usize) -> bool {
-        self.lines_with_code.contains(&l)
+        has_code(&self.lines_with_code, l)
     }
 
     /// Matching bracket for opener/closer token `i`, if balanced.
@@ -508,10 +512,15 @@ fn cfg_test_flags(code: &[Tok<'_>], partner: &[usize]) -> Vec<bool> {
     flags
 }
 
+/// Read of the [`FileCtx`] line map; out-of-range lines carry no code.
+fn has_code(lines_with_code: &[bool], l: usize) -> bool {
+    lines_with_code.get(l).copied().unwrap_or(false)
+}
+
 /// Parse `lint:allow(rule, reason)` pragmas out of the comment stream.
 /// Doc comments describe the syntax without invoking it; only plain
 /// comments carry live pragmas.
-fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec<Pragma> {
+fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &[bool]) -> Vec<Pragma> {
     let mut out = Vec::new();
     for c in comments {
         if c.kind == TokKind::DocComment {
@@ -532,7 +541,7 @@ fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec
             out.push(Pragma {
                 rule: rule.to_string(),
                 has_reason: reason,
-                own_line: !lines_with_code.contains(&line),
+                own_line: !has_code(lines_with_code, line),
                 line,
             });
             let consumed = pos + "lint:allow(".len() + close;
@@ -550,7 +559,7 @@ fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec
 fn parse_trust_pragmas(
     needle: &str,
     comments: &[Tok<'_>],
-    lines_with_code: &BTreeSet<usize>,
+    lines_with_code: &[bool],
 ) -> Vec<TrustPragma> {
     let mut out = Vec::new();
     for c in comments {
@@ -566,7 +575,7 @@ fn parse_trust_pragmas(
             let close = body.find(')').unwrap_or(body.len());
             out.push(TrustPragma {
                 has_reason: !body[..close].trim().is_empty(),
-                own_line: !lines_with_code.contains(&line),
+                own_line: !has_code(lines_with_code, line),
                 line,
             });
             let consumed = pos + needle.len() + close;
@@ -790,6 +799,45 @@ mod tests {
         assert!(ctx.uniform_trusted[0].own_line);
         assert_eq!(ctx.trusted.len(), 1);
         assert_eq!(ctx.trusted[0].line, 3);
+    }
+
+    #[test]
+    fn pragma_after_multiline_string_is_not_own_line() {
+        // Line 2 holds the tail of a string token that opened on line 1,
+        // so it carries code and the pragma covers line 2 itself.
+        let src = "let s = \"one\n\
+                   two\"; // lint:allow(unseeded-rng, fixture)\n\
+                   let r = r#\"three\n\
+                   four\"#; // lint:uniform-trusted(fixture)\n";
+        let ctx = FileCtx::new("crates/x/src/a.rs", src);
+        assert_eq!(ctx.pragmas.len(), 1);
+        assert_eq!(ctx.pragmas[0].line, 2);
+        assert!(!ctx.pragmas[0].own_line);
+        assert_eq!(ctx.uniform_trusted.len(), 1);
+        assert_eq!(ctx.uniform_trusted[0].line, 4);
+        assert!(!ctx.uniform_trusted[0].own_line);
+        assert!((1..=4).all(|l| ctx.line_has_code(l)));
+    }
+
+    #[test]
+    fn pragma_on_last_line_without_newline_is_parsed() {
+        let src = "fn f() {}\n// lint:allow(unseeded-rng, trailing)";
+        let ctx = FileCtx::new("crates/x/src/a.rs", src);
+        assert_eq!(ctx.pragmas.len(), 1);
+        assert_eq!(ctx.pragmas[0].line, 2);
+        assert!(ctx.pragmas[0].own_line);
+        assert!(ctx.pragmas[0].has_reason);
+    }
+
+    #[test]
+    fn line_has_code_out_of_range_is_false() {
+        let ctx = FileCtx::new("crates/x/src/a.rs", "fn f() {}\n\nfn g() {}\n");
+        assert!(!ctx.line_has_code(0));
+        assert!(ctx.line_has_code(1));
+        assert!(!ctx.line_has_code(2));
+        assert!(ctx.line_has_code(3));
+        assert!(!ctx.line_has_code(4));
+        assert!(!ctx.line_has_code(usize::MAX));
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
 use crate::rules::{Finding, BAD_PRAGMA, COLLECTIVE_DIVERGENCE, UNUSED_PRAGMA};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// One entry in the collective catalog.
 struct Collective {
@@ -153,8 +154,9 @@ fn catalog(name: &str) -> Option<&'static Collective> {
 }
 
 /// Taint: `None` = Uniform, `Some(witness)` = RankDependent with the
-/// source description that first raised it.
-type Taint = Option<String>;
+/// source description that first raised it. Shared, since one witness
+/// is copied into every local, parameter and return it reaches.
+type Taint = Option<Rc<str>>;
 
 fn join(a: &mut Taint, b: Taint) {
     if a.is_none() {
@@ -163,7 +165,7 @@ fn join(a: &mut Taint, b: Taint) {
 }
 
 /// Tainted locals: name → witness.
-type Env = BTreeMap<String, String>;
+type Env = BTreeMap<String, Rc<str>>;
 
 /// One node of a function's control-flow summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,7 +239,13 @@ pub struct CrateProof {
 /// Everything the analysis produced, in deterministic order.
 pub struct UniformReport {
     pub functions: usize,
+    /// Call-site × resolved-candidate count over one walk of every
+    /// non-test function (a site with two candidates counts twice).
     pub call_edges: usize,
+    /// Worklist rounds the taint fixpoint took to converge.
+    pub rounds: usize,
+    /// Function-body walks across all rounds.
+    pub walks: usize,
     /// Direct collective call sites across non-test code.
     pub collective_sites: usize,
     /// Collective-bearing non-test functions, sorted by qualified name.
@@ -286,26 +294,60 @@ impl UniformReport {
     }
 }
 
-/// Fixpoint cap: taints are monotone so this only bounds pathological
-/// call-graph depth, not correctness on real inputs.
-const MAX_ROUNDS: usize = 12;
-
 /// Global fixpoint state.
 struct State {
     fns: Vec<UFn>,
     syms: Vec<graph::Sym>,
     resolver: graph::Resolver,
-    call_edges: usize,
     ret_rd: Vec<Taint>,
     param_rd: Vec<Vec<Taint>>,
     has_coll: Vec<bool>,
-    changed: bool,
-    /// Final round only.
-    collecting: bool,
+    /// Worklist: functions whose inputs (own `param_rd`, or a callee's
+    /// `ret_rd`/`has_coll`) changed since their last walk.
+    dirty: Vec<bool>,
+    /// Reverse call graph, filled on each function's first walk (call
+    /// sites and their candidates do not depend on taint).
+    callers: Vec<Vec<usize>>,
+    walked: Vec<bool>,
+    /// Per function, from its latest walk: direct collective sites,
+    /// site × candidate call edges, and the control tree (kept only for
+    /// collective-bearing functions; a collective-free tree cannot
+    /// raise a finding).
+    sites: Vec<usize>,
+    edges: Vec<usize>,
+    trees: Vec<Vec<Node>>,
     findings: Vec<Finding>,
     used_allow: BTreeSet<(String, usize)>,
-    sites: Vec<usize>,
     divergent: Vec<bool>,
+}
+
+impl State {
+    fn set_param_rd(&mut self, c: usize, slot: usize, wit: &Rc<str>) {
+        if self.param_rd[c][slot].is_none() {
+            self.param_rd[c][slot] = Some(wit.clone());
+            self.dirty[c] = true;
+        }
+    }
+
+    fn set_ret_rd(&mut self, fid: usize, wit: Rc<str>) {
+        if self.ret_rd[fid].is_none() {
+            self.ret_rd[fid] = Some(wit);
+            self.mark_callers(fid);
+        }
+    }
+
+    fn set_has_coll(&mut self, fid: usize) {
+        if !self.has_coll[fid] {
+            self.has_coll[fid] = true;
+            self.mark_callers(fid);
+        }
+    }
+
+    fn mark_callers(&mut self, fid: usize) {
+        for &caller in &self.callers[fid] {
+            self.dirty[caller] = true;
+        }
+    }
 }
 
 /// Run the analysis over `(rel_path, contents)` sources. Sources should
@@ -338,71 +380,94 @@ pub fn analyze(sources: &[(String, String)]) -> UniformReport {
     let resolver = graph::Resolver::new(&syms);
     let n = fns.len();
     let mut st = State {
+        dirty: fns.iter().map(|f| !f.is_test).collect(),
+        param_rd: fns.iter().map(|f| vec![None; f.params.len()]).collect(),
         fns,
         syms,
         resolver,
-        call_edges: 0,
         ret_rd: vec![None; n],
-        param_rd: Vec::new(),
         has_coll: vec![false; n],
-        changed: false,
-        collecting: false,
+        callers: vec![Vec::new(); n],
+        walked: vec![false; n],
+        sites: vec![0; n],
+        edges: vec![0; n],
+        trees: vec![Vec::new(); n],
         findings,
         used_allow: BTreeSet::new(),
-        sites: vec![0; n],
         divergent: vec![false; n],
     };
-    st.param_rd = st.fns.iter().map(|f| vec![None; f.params.len()]).collect();
 
-    for round in 0..MAX_ROUNDS {
-        st.changed = false;
-        st.call_edges = 0;
-        walk_all(&ctxs, &mut st);
-        if !st.changed || round == MAX_ROUNDS - 2 {
-            break;
+    // Gauss–Seidel rounds in fid order, as a full re-walk would run
+    // them, but walking only dirty functions: a clean function's walk
+    // would repeat writes that already happened. A function dirtied
+    // behind the cursor (or by its own walk) waits for the next round.
+    // Every round after the first is paid for by at least one lattice
+    // step (`ret_rd`, a `param_rd` slot or `has_coll` going up), so the
+    // round count is bounded by the lattice height plus one.
+    let height = 2 * n + st.param_rd.iter().map(Vec::len).sum::<usize>();
+    let mut rounds = 0usize;
+    let mut walks = 0usize;
+    while st.dirty.contains(&true) {
+        rounds += 1;
+        assert!(
+            rounds <= height + 1,
+            "uniform fixpoint did not converge within the lattice height ({height})"
+        );
+        for fid in 0..n {
+            if std::mem::take(&mut st.dirty[fid]) {
+                walk_fn(&ctxs[st.fns[fid].file_idx], &mut st, fid);
+                walks += 1;
+            }
         }
     }
-    // Final collecting round: taints are stable, gather trees/findings.
-    st.collecting = true;
-    st.sites = vec![0; n];
-    walk_all(&ctxs, &mut st);
 
-    finish(st, trusted_sites)
-}
-
-fn walk_all(ctxs: &[FileCtx<'_>], st: &mut State) {
-    for fid in 0..st.fns.len() {
-        if st.fns[fid].is_test {
+    // Taints are stable and every stored tree is from a walk with the
+    // final inputs: check them.
+    for fid in 0..n {
+        if st.fns[fid].trusted || st.trees[fid].is_empty() {
             continue;
         }
-        let ctx = &ctxs[st.fns[fid].file_idx];
+        let tree = std::mem::take(&mut st.trees[fid]);
         let mut w = Walk {
-            ctx,
-            st: &mut *st,
+            ctx: &ctxs[st.fns[fid].file_idx],
+            st: &mut st,
             fid,
             locals_ty: BTreeMap::new(),
         };
-        w.locals_ty = graph::param_types(ctx, w.st.fns[fid].name_idx);
-        let mut env: Env = Env::new();
-        for (slot, p) in w.st.fns[fid].params.clone().into_iter().enumerate() {
-            if let Some(wit) = w.st.param_rd[fid][slot].clone() {
-                env.insert(p, wit);
-            }
-        }
-        let (start, end) = w.st.fns[fid].body;
-        let mut ret: Taint = None;
-        let (nodes, last) = w.block(start + 1, end, &mut env, &mut ret);
-        join(&mut ret, last);
-        if let Some(wit) = ret {
-            if w.st.ret_rd[fid].is_none() {
-                w.st.ret_rd[fid] = Some(wit);
-                w.st.changed = true;
-            }
-        }
-        if w.st.collecting && !w.st.fns[fid].trusted {
-            w.check(&nodes, false, false, false);
+        w.check(&tree, false, false, false);
+    }
+
+    finish(st, trusted_sites, rounds, walks)
+}
+
+/// One walk of function `fid`'s body with the current taints: records
+/// its sites, edges and (if collective-bearing) control tree, and
+/// propagates its return taint.
+fn walk_fn(ctx: &FileCtx<'_>, st: &mut State, fid: usize) {
+    st.sites[fid] = 0;
+    st.edges[fid] = 0;
+    let locals_ty = graph::param_types(ctx, st.fns[fid].name_idx);
+    let mut w = Walk {
+        ctx,
+        st: &mut *st,
+        fid,
+        locals_ty,
+    };
+    let mut env: Env = Env::new();
+    for (p, t) in w.st.fns[fid].params.iter().zip(&w.st.param_rd[fid]) {
+        if let Some(wit) = t {
+            env.insert(p.clone(), wit.clone());
         }
     }
+    let (start, end) = w.st.fns[fid].body;
+    let mut ret: Taint = None;
+    let (nodes, last) = w.block(start + 1, end, &mut env, &mut ret);
+    join(&mut ret, last);
+    if let Some(wit) = ret {
+        st.set_ret_rd(fid, wit);
+    }
+    st.walked[fid] = true;
+    st.trees[fid] = if st.has_coll[fid] { nodes } else { Vec::new() };
 }
 
 /// Symbol extraction for one file: same scope-stack walk as
@@ -1049,10 +1114,10 @@ impl Walk<'_, '_> {
             }
             // `.rank` — method call or field read — is THE root source.
             if t.text == "rank" && i >= 1 && self.ctx.is(i - 1, ".") {
-                join(
-                    &mut taint,
-                    Some(format!("`.rank` at {}:{}", self.ctx.rel_path, self.line(i))),
-                );
+                if taint.is_none() {
+                    taint =
+                        Some(format!("`.rank` at {}:{}", self.ctx.rel_path, self.line(i)).into());
+                }
                 let after = self.ctx.skip_turbofish(i + 1);
                 let open = if self.ctx.is(after, "(") {
                     Some(after)
@@ -1091,9 +1156,8 @@ impl Walk<'_, '_> {
                 i += 1;
                 continue;
             };
-            let name = t.text.to_string();
             let line = self.line(i);
-            let ct = self.call(i, &name, line, open, cl, env, nodes, ret);
+            let ct = self.call(i, t.text, line, open, cl, env, nodes, ret);
             join(&mut taint, ct);
             i = cl + 1;
         }
@@ -1127,13 +1191,8 @@ impl Walk<'_, '_> {
         }
 
         if let Some(cat) = catalog(name) {
-            if self.st.collecting {
-                self.st.sites[self.fid] += 1;
-            }
-            if !self.st.has_coll[self.fid] {
-                self.st.has_coll[self.fid] = true;
-                self.st.changed = true;
-            }
+            self.st.sites[self.fid] += 1;
+            self.st.set_has_coll(self.fid);
             nodes.push(Node::Coll {
                 name: name.to_string(),
                 line,
@@ -1159,7 +1218,8 @@ impl Walk<'_, '_> {
                                     format!(
                                         "halo data from `{name}` at {}:{line}",
                                         self.ctx.rel_path
-                                    ),
+                                    )
+                                    .into(),
                                 );
                             } else {
                                 env.remove(&var);
@@ -1174,6 +1234,7 @@ impl Walk<'_, '_> {
                     "data received from `{name}` at {}:{line}",
                     self.ctx.rel_path
                 )
+                .into()
             });
         }
 
@@ -1208,29 +1269,30 @@ impl Walk<'_, '_> {
             return t;
         }
 
-        self.st.call_edges += cands.len();
+        self.st.edges[self.fid] += cands.len();
+        if !self.st.walked[self.fid] {
+            for &c in &cands {
+                // All of this walk's pushes are contiguous, so checking
+                // the tail deduplicates.
+                if self.st.callers[c].last() != Some(&self.fid) {
+                    self.st.callers[c].push(self.fid);
+                }
+            }
+        }
         let is_method_call = matches!(call, RawCall::Method { .. });
         let mut out: Taint = None;
         let mut coll_qual: Option<String> = None;
         for &c in &cands {
             // Positional parameter taint: leading `self` slot takes the
             // receiver taint for method-form calls.
-            let params = self.st.fns[c].params.clone();
-            let mut slot_taints: Vec<&Taint> = Vec::new();
-            let has_self = params.first().map(String::as_str) == Some("self");
-            if has_self && is_method_call {
-                slot_taints.push(&recv_taint);
-            }
-            slot_taints.extend(arg_taints.iter());
-            for (slot, t) in slot_taints.into_iter().enumerate() {
+            let has_self = self.st.fns[c].params.first().map(String::as_str) == Some("self");
+            let recv_slot = (has_self && is_method_call).then_some(&recv_taint);
+            for (slot, t) in recv_slot.into_iter().chain(&arg_taints).enumerate() {
                 if slot >= self.st.param_rd[c].len() {
                     break;
                 }
                 if let Some(wit) = t {
-                    if self.st.param_rd[c][slot].is_none() {
-                        self.st.param_rd[c][slot] = Some(wit.clone());
-                        self.st.changed = true;
-                    }
+                    self.st.set_param_rd(c, slot, wit);
                 }
             }
             if let Some(wit) = &self.st.ret_rd[c] {
@@ -1241,10 +1303,7 @@ impl Walk<'_, '_> {
             }
         }
         if let Some(qual) = coll_qual {
-            if !self.st.has_coll[self.fid] {
-                self.st.has_coll[self.fid] = true;
-                self.st.changed = true;
-            }
+            self.st.set_has_coll(self.fid);
             nodes.push(Node::CallColl { qual, line });
         }
         out
@@ -1438,7 +1497,12 @@ impl Walk<'_, '_> {
 }
 
 /// Assemble the report from the final fixpoint state.
-fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
+fn finish(
+    st: State,
+    mut trusted_sites: Vec<(String, usize)>,
+    rounds: usize,
+    walks: usize,
+) -> UniformReport {
     let n = st.fns.len();
     let mut fns_out: Vec<FnUniform> = Vec::new();
     let mut per_crate: BTreeMap<String, CrateProof> = BTreeMap::new();
@@ -1501,7 +1565,9 @@ fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
 
     UniformReport {
         functions: n,
-        call_edges: st.call_edges,
+        call_edges: st.edges.iter().sum(),
+        rounds,
+        walks,
         collective_sites,
         fns: fns_out,
         crates: per_crate.into_values().collect(),
@@ -1571,6 +1637,56 @@ pub fn drive(world: &mut dyn CommWorld) {
         let d = divergences(&r);
         assert_eq!(d.len(), 1, "{:?}", r.findings);
         assert!(d[0].message.contains("barrier"), "{}", d[0].message);
+    }
+
+    /// `drive` branches on `h1(world)`, and `h1 → h2 → … → h{depth}`
+    /// threads a `.rank` read back up as a return value. Callers come
+    /// before callees, so each fixpoint round lifts the taint one level.
+    fn rank_chain(depth: usize) -> String {
+        let mut s = String::from(
+            "pub fn drive(world: &mut dyn CommWorld) {\n    \
+             if h1(world) == 0 {\n        world.barrier();\n    }\n}\n",
+        );
+        for k in 1..depth {
+            s.push_str(&format!(
+                "fn h{k}(world: &mut dyn CommWorld) -> usize {{\n    h{}(world)\n}}\n",
+                k + 1
+            ));
+        }
+        s.push_str(&format!(
+            "fn h{depth}(world: &mut dyn CommWorld) -> usize {{\n    world.rank()\n}}\n"
+        ));
+        s
+    }
+
+    #[test]
+    fn return_taint_converges_through_deep_helper_chains() {
+        for depth in [1, 10, 11, 20] {
+            let r = run(&rank_chain(depth));
+            let d = divergences(&r);
+            assert_eq!(d.len(), 1, "depth {depth}: {:?}", r.findings);
+            assert_eq!(d[0].line, 2, "depth {depth}");
+            assert!(d[0].message.contains("`.rank`"), "{}", d[0].message);
+            // One round per level, plus the round that sees the guard.
+            assert!(r.rounds > depth, "depth {depth}: {} rounds", r.rounds);
+        }
+    }
+
+    #[test]
+    fn call_edges_count_one_walk() {
+        let r = run(r#"
+fn helper(x: f64) -> f64 {
+    x
+}
+pub fn drive(world: &mut dyn CommWorld) {
+    world.global_sum(helper(world.rank() as f64));
+}
+"#);
+        assert_eq!(r.call_edges, 1);
+        // Round 2 re-walks `helper` (its parameter turned rank-dependent
+        // behind the cursor), then `drive` (its callee's return did).
+        assert_eq!(r.rounds, 2);
+        assert_eq!(r.walks, 4);
     }
 
     #[test]

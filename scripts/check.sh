@@ -28,10 +28,11 @@ echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> SPMD uniformity proof (E20: every collective reached uniformly)"
+echo "==> SPMD uniformity proof (E20: fixpoint converged, every collective reached uniformly)"
 cargo run -q --release --example uniform_proof > target/e20-uniform.txt
 tail -n 1 target/e20-uniform.txt
 grep -q "collective-divergence findings: 0" target/e20-uniform.txt
+grep "fixpoint: converged" target/e20-uniform.txt
 
 echo "==> telemetry tour (instrumented run + exporters)"
 cargo run -q --release --example telemetry_tour
